@@ -101,7 +101,11 @@ def _report_from_config(m, level, mode, trace_steps, halted, final_config,
 
 def run_level(m: TuringMachine, word, level: str, max_steps: int,
               mode: str = "exact"):
-    """Run one pipeline level; returns (RunReport, trace rows for CSV)."""
+    """Run one pipeline level; returns (RunReport, (CSV fields, rows)).
+
+    ``rows`` is a function that builds the per-step CSV rows, so a run
+    without a trace file never pays for them.
+    """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     if mode == "float64" and level != "net":
@@ -113,14 +117,9 @@ def run_level(m: TuringMachine, word, level: str, max_steps: int,
             trace = run_tm(m, c0, max_steps)
         else:
             trace = gshift.run_gs(gshift.build_gshift(m), c0, max_steps)
-        rows = []
-        for t, c in enumerate(trace.configs):
-            pt = encode_config(m, c)
-            rows.append({"step": t, "state": c.state, "tape": tape_string(m, c),
-                         "x": rat_str(pt.x), "y": rat_str(pt.y)})
         report = _report_from_config(m, level, "exact", trace.steps,
                                      trace.halted, trace.final)
-        return report, (TM_TRACE_FIELDS, rows)
+        return report, (TM_TRACE_FIELDS, lambda: _config_rows(m, trace.configs))
 
     auto = nda.build_nda(m)
     pt0 = encode_config(m, c0)
@@ -129,7 +128,7 @@ def run_level(m: TuringMachine, word, level: str, max_steps: int,
         final = encode.decode_point(m, trace.points[-1])
         report = _report_from_config(m, level, "exact", trace.steps,
                                      trace.halted, final)
-        return report, (nda.ORBIT_FIELDS, nda.orbit_rows(auto, trace.points))
+        return report, (nda.ORBIT_FIELDS, lambda: nda.orbit_rows(auto, trace.points))
 
     net = network.build_network(auto)
     exact_trace = network.run_network(net, network.initial_state(net, pt0), max_steps)
@@ -138,7 +137,8 @@ def run_level(m: TuringMachine, word, level: str, max_steps: int,
         final = encode.decode_point(m, Point(x, y))
         report = _report_from_config(m, level, mode, exact_trace.steps,
                                      exact_trace.halted, final)
-        return report, (network.TRACE_FIELDS, network.net_trace_rows(net, exact_trace))
+        return report, (network.TRACE_FIELDS,
+                        lambda: network.net_trace_rows(net, exact_trace))
 
     float_trace = network.run_network(
         net, network.initial_state(net, pt0, "float64"), max_steps)
@@ -149,7 +149,18 @@ def run_level(m: TuringMachine, word, level: str, max_steps: int,
     report = _report_from_config(
         m, level, mode, float_trace.steps, float_trace.halted, final,
         final_float=(fx, fy), divergence_step=divergence)
-    return report, (network.TRACE_FIELDS, network.net_trace_rows(net, float_trace))
+    return report, (network.TRACE_FIELDS,
+                    lambda: network.net_trace_rows(net, float_trace))
+
+
+def _config_rows(m: TuringMachine, configs) -> list[dict]:
+    """CSV rows of a tm or gs trace: state, tape and encoded point per step."""
+    rows = []
+    for t, c in enumerate(configs):
+        pt = encode_config(m, c)
+        rows.append({"step": t, "state": c.state, "tape": tape_string(m, c),
+                     "x": rat_str(pt.x), "y": rat_str(pt.y)})
+    return rows
 
 
 def first_divergence(exact_trace, float_trace) -> int | None:
@@ -198,7 +209,7 @@ def compare_levels(m: TuringMachine, word, max_steps: int,
         others = (
             ("gs", encode_config(m, gs_c)),
             ("nda", pt),
-            ("net", Point(state.values[0], state.values[1])),
+            ("net", Point(*state.mcl)),
         )
         for level, got in others:
             if got != reference:
@@ -292,7 +303,7 @@ def cmd_run(args) -> int:
     report, (fields, rows) = run_level(m, word, args.level, args.max_steps,
                                        args.mode)
     if args.trace:
-        _write_csv(args.trace, fields, rows)
+        _write_csv(args.trace, fields, rows())
     _print_report(report, args.format)
     return EXIT_OK
 

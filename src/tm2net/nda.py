@@ -185,18 +185,21 @@ def run_nda(nda: Nda, pt0: Point, max_steps: int) -> NdaTrace:
     m = nda.machine
     p = nda.partition
 
-    def in_halt_cell(pt: Point) -> bool:
+    def branch_of(pt: Point) -> Branch | None:
+        """The branch selected at ``pt``; None in a halt state's cell."""
         i, j = cell_of_point(p, pt)
-        return p.triple_of_cell(i, j).state in m.halt_states
+        if p.triple_of_cell(i, j).state in m.halt_states:
+            return None
+        return nda.branches[(i, j)]
 
     points = [pt0]
-    cur = pt0
+    br = branch_of(pt0)
     for _ in range(max_steps):
-        if in_halt_cell(cur):
+        if br is None:
             break
-        cur = nda_step(nda, cur)
-        points.append(cur)
-    return NdaTrace(tuple(points), halted=in_halt_cell(points[-1]))
+        points.append(br.apply(points[-1]))
+        br = branch_of(points[-1])
+    return NdaTrace(tuple(points), halted=br is None)
 
 
 def nda_to_json(nda: Nda) -> dict:

@@ -13,10 +13,15 @@ one network iteration per machine step:
 
 Every weight is an exact rational; simulation runs either exactly or in
 float64 (the latter only to show how expansion destroys the encoding).
+Exact mode computes only what can be nonzero: the BSL staircase from the
+sorted thresholds, then the LTL pair at its corner, then the MCL.  A
+certificate checked on the weights makes that equal to the dense sweep,
+which float64 mode runs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -25,6 +30,7 @@ from .encode import Point, parse_rat, rat_str
 from .nda import Nda
 
 HALT_ATOL = 1e-9  # float-mode fixed-point tolerance per coordinate
+ZERO = Fraction(0)
 
 MCL_X, MCL_Y = "mcl_x", "mcl_y"
 BSL_X, BSL_Y = "bsl_x", "bsl_y"
@@ -84,6 +90,9 @@ class Network:
     _ltl_ids: tuple = field(init=False, repr=False, compare=False)
     _in_edges: tuple = field(init=False, repr=False, compare=False)
     _in_edges_float: tuple = field(init=False, repr=False, compare=False)
+    # (x thresholds, y thresholds, per-cell corner maps) of the sparse exact
+    # step, set by the first exact step; see sparse.certify
+    _sparse: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.units)
@@ -134,13 +143,6 @@ class Network:
 
     def weight(self, src: int, dst: int) -> Fraction:
         return self.weights.get((src, dst), Fraction(0))
-
-    def dense_weights(self) -> list[list[Fraction]]:
-        zero = Fraction(0)
-        mat = [[zero] * self.n_units for _ in range(self.n_units)]
-        for (src, dst), w in self.weights.items():
-            mat[src][dst] = w
-        return mat
 
 
 def _layout_units(n_q: int, n_s: int) -> tuple[Unit, ...]:
@@ -233,16 +235,55 @@ def build_network(nda: Nda) -> Network:
     return net
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class NetState:
-    """One full activation vector; the bias unit is pinned to 1."""
+    """One network state; the bias unit is pinned to 1.
+
+    A float64 state holds its whole activation vector.  An exact state holds
+    only the MCL and the BSL staircase corner (i*, j*) of the sweep that
+    produced it (None before the first sweep).  Under the network's sparse
+    certificate these fix every activation, so ``values`` is built from them
+    on first read, element-wise equal to what the dense sweep gives.
+    """
 
     mode: str  # "exact" | "float64"
-    values: tuple
+    mcl: tuple
+    corner: tuple[int, int] | None = None
+    _net: Network | None = field(default=None, repr=False)
+    _values: tuple | None = field(default=None, repr=False)
 
     @property
-    def mcl(self) -> tuple:
-        return self.values[0], self.values[1]
+    def values(self) -> tuple:
+        if self._values is None:
+            object.__setattr__(self, "_values", _exact_values(self._net, self))
+        return self._values
+
+    def __eq__(self, other):
+        if not isinstance(other, NetState):
+            return NotImplemented
+        return self.mode == other.mode and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.mode, self.mcl))
+
+
+def _exact_values(net: Network, state: NetState) -> tuple:
+    """The dense activation vector of an exact state.
+
+    The BSL units up to the corner are on; only the corner's LTL pair can be
+    positive, and the MCL copies it with weight 1.
+    """
+    vals = [ZERO] * net.n_units
+    vals[0], vals[1] = state.mcl
+    vals[net.bias_id] = 1
+    if state.corner is not None:
+        i, j = state.corner
+        m, n = net.n_x_cells, net.n_y_cells
+        vals[2:2 + m] = [1] * (i + 1) + [0] * (m - 1 - i)
+        vals[2 + m:2 + m + n] = [1] * (j + 1) + [0] * (n - 1 - j)
+        tx, ty = net.ltl_ids(i, j)
+        vals[tx], vals[ty] = state.mcl
+    return tuple(vals)
 
 
 def initial_state(net: Network, pt: Point, mode: str = "exact") -> NetState:
@@ -250,27 +291,35 @@ def initial_state(net: Network, pt: Point, mode: str = "exact") -> NetState:
     if mode not in ("exact", "float64"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":
-        values = [Fraction(0)] * net.n_units
-        values[0], values[1] = Fraction(pt.x), Fraction(pt.y)
-        values[net.bias_id] = 1
-    else:
-        values = [0.0] * net.n_units
-        values[0], values[1] = float(pt.x), float(pt.y)
-        values[net.bias_id] = 1.0
-    return NetState(mode, tuple(values))
+        return NetState(mode, (Fraction(pt.x), Fraction(pt.y)), _net=net)
+    values = [0.0] * net.n_units
+    values[0], values[1] = float(pt.x), float(pt.y)
+    values[net.bias_id] = 1.0
+    return NetState(mode, (values[0], values[1]), _values=tuple(values))
 
 
 def net_step(net: Network, state: NetState) -> NetState:
+    """One machine step.
+
+    Exact mode runs the certified sparse step (``_sparse_step``); float64
+    runs the dense three-phase sweep (``_dense_sweep``).
+    """
+    if state.mode == "exact":
+        return _sparse_step(net, state)
+    vals = _dense_sweep(net, state.values, exact=False)
+    return NetState(state.mode, (vals[0], vals[1]), _values=vals)
+
+
+def _dense_sweep(net: Network, values: tuple, exact: bool) -> tuple:
     """One machine step as a three-phase sweep over the adjacency.
 
     Phase 1 re-thresholds the BSL against the current MCL, phase 2 lets the
     LTL read MCL, BSL and bias, phase 3 writes the LTL sums back into the
     MCL through the ramp.
     """
-    exact = state.mode == "exact"
     edges = net._in_edges if exact else net._in_edges_float
-    zero = Fraction(0) if exact else 0.0
-    vals = list(state.values)
+    zero = ZERO if exact else 0.0
+    vals = list(values)
     # MCL values are untouched until phase 3, so reading `vals` below always
     # sees old MCL and (in phase 2) fresh BSL.
     for u in net._bsl_ids:
@@ -294,14 +343,39 @@ def net_step(net: Network, state: NetState) -> NetState:
             if v:
                 total = total + w * v
         vals[u] = total if total > 0 else zero
-    return NetState(state.mode, tuple(vals))
+    return tuple(vals)
+
+
+def _sparse_step(net: Network, state: NetState) -> NetState:
+    """The exact step computing only what can be nonzero.
+
+    The BSL staircase corner comes from bisecting the sorted thresholds; the
+    corner's LTL pair is the only one that can fire, and the MCL takes its
+    outputs.  Equal to ``_dense_sweep`` on every MCL in [0, 1]^2.
+    """
+    th_x, th_y, cells = _sparse_tables(net)
+    x, y = state.mcl
+    if not (0 <= x <= 1 and 0 <= y <= 1):
+        raise ValueError(f"MCL ({x}, {y}) lies outside [0, 1]^2, "
+                         "where the sparse step is not certified")
+    i, j = bisect_right(th_x, x) - 1, bisect_right(th_y, y) - 1
+    lam_x, c_x, lam_y, c_y = cells[i * len(th_y) + j]
+    x, y = lam_x * x + c_x, lam_y * y + c_y
+    return NetState(state.mode, (x if x > 0 else ZERO, y if y > 0 else ZERO),
+                    (i, j), net)
+
+
+def _sparse_tables(net: Network) -> tuple:
+    """The network's certified sparse-step tables, derived once per network."""
+    if net._sparse is None:
+        object.__setattr__(net, "_sparse", certify(net))
+    return net._sparse
 
 
 def _mcl_fixed(net: Network, a: NetState, b: NetState) -> bool:
     if a.mode == "exact":
-        return a.values[0] == b.values[0] and a.values[1] == b.values[1]
-    return (abs(a.values[0] - b.values[0]) <= HALT_ATOL
-            and abs(a.values[1] - b.values[1]) <= HALT_ATOL)
+        return a.mcl == b.mcl
+    return all(abs(p - q) <= HALT_ATOL for p, q in zip(a.mcl, b.mcl))
 
 
 def is_halted(net: Network, state: NetState) -> bool:
@@ -315,6 +389,12 @@ def bsl_pattern(net: Network, state: NetState) -> tuple[int, ...]:
 
 def active_cell(net: Network, state: NetState) -> tuple[int, int] | None:
     """Cell of the positive LTL pair, None if all LTL units are silent."""
+    if state.mode == "exact":
+        # the corner pair outputs the MCL; every other LTL unit is silent
+        corner = state.corner
+        if corner is None or max(state.mcl) <= 0:
+            return None
+        return corner
     cells = {net.units[u].cell for u in net._ltl_ids if state.values[u] > 0}
     if not cells:
         return None
@@ -365,9 +445,9 @@ def net_trace_rows(net: Network, trace: NetTrace) -> list[dict]:
     last = len(trace.states) - 1
     for t, s in enumerate(trace.states):
         if s.mode == "exact":
-            cx, cy = rat_str(s.values[0]), rat_str(s.values[1])
+            cx, cy = rat_str(s.mcl[0]), rat_str(s.mcl[1])
         else:
-            cx, cy = f"{s.values[0]:.17g}", f"{s.values[1]:.17g}"
+            cx, cy = f"{s.mcl[0]:.17g}", f"{s.mcl[1]:.17g}"
         cell = active_cell(net, s)
         rows.append({
             "step": t,
@@ -432,12 +512,14 @@ def import_network(doc: dict) -> Network:
     if h <= 0:
         raise NetworkFormatError("h must be positive")
 
-    expected_units = _layout_units(n_q, n_s)
-    if len(unit_docs) != len(expected_units):
+    # the count is checked before the layout is built, so a document cannot
+    # make the import allocate more units than it lists
+    if len(unit_docs) != unit_count(n_q, n_s):
         raise NetworkFormatError(
             f"unit count {len(unit_docs)} does not match the formula value "
             f"{unit_count(n_q, n_s)} for n_q={n_q}, n_s={n_s}"
         )
+    expected_units = _layout_units(n_q, n_s)
     try:
         unit_docs = sorted(unit_docs, key=lambda u: u.get("id", -1))
     except (AttributeError, TypeError) as exc:
@@ -538,3 +620,7 @@ def _validate_wiring(net: Network) -> None:
         raise NetworkFormatError(
             f"edges outside the permitted architecture: {sorted(extras)[:5]}"
         )
+
+
+# Imported last: the certificate module builds on the definitions above.
+from .sparse import certify  # noqa: E402

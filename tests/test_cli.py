@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tm2net import cli, nda, network
 from tm2net.cli import (
     EXIT_INPUT,
     EXIT_IO,
@@ -131,6 +132,22 @@ def test_run_trace_files(flip_path, tmp_path):
                              "active_cell_j", "halted"]
     assert rows[-1]["halted"] == "True"
     assert rows[1]["c_x"] == "1/3"
+
+
+def test_run_builds_trace_rows_only_with_trace(flip_path, tmp_path, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("trace rows built without --trace")
+
+    for module, name in ((cli, "_config_rows"), (nda, "orbit_rows"),
+                         (network, "net_trace_rows")):
+        monkeypatch.setattr(module, name, no_rows)
+    for level, mode in (("tm", "exact"), ("gs", "exact"), ("nda", "exact"),
+                        ("net", "exact"), ("net", "float64")):
+        assert main(["run", str(flip_path), "01", "--level", level,
+                     "--mode", mode]) == EXIT_OK
+    with pytest.raises(AssertionError, match="without --trace"):
+        main(["run", str(flip_path), "01", "--level", "net",
+              "--trace", str(tmp_path / "net.csv")])
 
 
 def test_run_timeout_reported_in_band(tmp_path, capsys):

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from tm2net import nda
 from tm2net.encode import Point, encode_config, rat_str
 from tm2net.gshift import Triple
 from tm2net.machine import canonical_config, initial_config, run_tm, tm_step
@@ -181,6 +182,16 @@ def test_full_trace_commutes(flip):
     assert len(orbit.points) == len(trace.configs)
     for c, pt in zip(trace.configs, orbit.points):
         assert encode_config(flip, c) == pt
+
+
+def test_run_nda_selects_each_cell_once(flip, monkeypatch):
+    calls = []
+    real = nda.cell_of_point
+    monkeypatch.setattr(nda, "cell_of_point",
+                        lambda p, pt: calls.append(pt) or real(p, pt))
+    orbit = run_nda(build_nda(flip), encode_config(flip, initial_config(flip, "0110")), 20)
+    assert orbit.halted
+    assert calls == list(orbit.points)
 
 
 def test_json_export(flip):

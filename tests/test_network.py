@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tm2net import network
 from tm2net.encode import Point, encode_config
 from tm2net.machine import initial_config, parse_machine, run_tm
 from tm2net.nda import build_nda, cell_of_point
@@ -14,6 +16,7 @@ from tm2net.network import (
     LTL_X,
     LTL_Y,
     NetworkFormatError,
+    _dense_sweep,
     active_cell,
     bsl_pattern,
     build_network,
@@ -27,7 +30,7 @@ from tm2net.network import (
     unit_count,
 )
 
-from util import machine_with_sizes, random_machine
+from util import machine_with_sizes, random_input, random_machine
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +216,106 @@ def test_exact_mode_types(flip, flip_net):
     assert isinstance(s.values[0], Fraction)
 
 
+def assert_sparse_matches_dense(net, state):
+    """One exact step equals the dense exact sweep on the whole vector."""
+    nxt = net_step(net, state)
+    dense = _dense_sweep(net, state.values, exact=True)
+    assert nxt.values == dense
+    assert [type(v) for v in nxt.values] == [type(v) for v in dense]
+    return nxt
+
+
+def in_unit_square(state):
+    return all(0 <= v <= 1 for v in state.mcl)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.fractions(min_value=0, max_value=1, max_denominator=60),
+       st.fractions(min_value=0, max_value=1, max_denominator=60))
+def test_sparse_step_matches_dense_sweep(rng, x, y):
+    m = random_machine(rng)
+    net = build_network(build_nda(m))
+    s = initial_state(net, encode_config(m, initial_config(m, random_input(rng, m))))
+    for _ in range(12):
+        s = assert_sparse_matches_dense(net, s)
+    # off the encoded configurations the step stays certified while the MCL
+    # stays in the unit square
+    s = initial_state(net, Point(x, y))
+    for _ in range(4):
+        if not in_unit_square(s):
+            break
+        s = assert_sparse_matches_dense(net, s)
+
+
+def with_weight(net, edge, value):
+    """A directly constructed copy of ``net`` with one weight replaced."""
+    return dataclasses.replace(net, weights={**net.weights, edge: value})
+
+
+def tight_ltl_unit(net):
+    """An LTL unit with a + lambda = h/2, which exists because h is minimal."""
+    def a_plus_lambda(t):
+        mcl = 0 if net.units[t].kind == LTL_X else 1
+        return net.weight(net.bias_id, t) + net.h + net.weight(mcl, t)
+
+    return next(t for t in net._ltl_ids if a_plus_lambda(t) == net.h / 2)
+
+
+@pytest.mark.parametrize("tamper", ["raised_ltl_bias", "first_threshold_above_0",
+                                    "thresholds_out_of_order"])
+def test_certificate_rejects_tampered_network(flip_net, tamper):
+    bias, t = flip_net.bias_id, tight_ltl_unit(flip_net)
+    b1, b2 = flip_net.bsl_x_id(1), flip_net.bsl_x_id(2)
+    edits = {
+        # any raise lets the tight unit fire away from its staircase corner
+        "raised_ltl_bias": ((bias, t), flip_net.weight(bias, t) + Fraction(1, 10**9)),
+        # an MCL below the first threshold would leave no corner cell
+        "first_threshold_above_0": ((bias, flip_net.bsl_x_id(0)), Fraction(-1, 100)),
+        "thresholds_out_of_order": ((bias, b1), flip_net.weight(bias, b2) - Fraction(1, 100)),
+    }
+    net = with_weight(flip_net, *edits[tamper])
+    with pytest.raises(NetworkFormatError, match="certificate"):
+        net_step(net, initial_state(net, Point(Fraction(1, 2), Fraction(1, 2))))
+
+
+def test_certificate_rejects_non_canonical_units(flip_net):
+    units = list(flip_net.units)
+    b = flip_net.bsl_x_id(0)
+    units[b] = dataclasses.replace(units[b], kind=LTL_X)  # swept as an LTL unit
+    net = dataclasses.replace(flip_net, units=tuple(units))
+    with pytest.raises(NetworkFormatError, match="canonical layout"):
+        net_step(net, initial_state(net, Point(Fraction(1, 2), Fraction(1, 2))))
+
+
+def test_certified_step_follows_the_weights(flip_net):
+    # a lowered LTL bias stays certified; at its own corner the unit is now
+    # clipped to 0 by the ramp
+    bias, t = flip_net.bias_id, tight_ltl_unit(flip_net)
+    net = with_weight(flip_net, (bias, t), flip_net.weight(bias, t) - flip_net.h)
+    i, j = flip_net.units[t].cell
+    s = initial_state(net, Point(Fraction(i, net.n_x_cells), Fraction(j, net.n_y_cells)))
+    for _ in range(4):
+        if not in_unit_square(s):
+            break
+        s = assert_sparse_matches_dense(net, s)
+
+
+@pytest.mark.parametrize("x, y", [(Fraction(3, 2), Fraction(0)),
+                                  (Fraction(1, 2), Fraction(-1, 9))])
+def test_exact_step_rejects_mcl_outside_unit_square(flip_net, x, y):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]\^2"):
+        net_step(flip_net, initial_state(flip_net, Point(x, y)))
+
+
+def test_exact_run_and_rows_build_no_activation_vector(flip, flip_net):
+    c0 = initial_config(flip, "0110")
+    trace = run_network(flip_net, initial_state(flip_net, encode_config(flip, c0)), 50)
+    net_trace_rows(flip_net, trace)
+    assert all(s._values is None for s in trace.states)
+    assert trace.states[1].values[0] == trace.states[1].mcl[0]
+
+
 def test_export_round_trip(flip_net):
     doc = export_network(flip_net)
     assert doc["meta"]["h"] == "7/1"
@@ -263,6 +366,22 @@ def test_import_rejects_extra_edge(flip_net):
     doc = export_network(flip_net)
     doc["weights"].append({"from": 0, "to": 1, "value": "1/1"})
     with pytest.raises(NetworkFormatError, match="outside the permitted"):
+        import_network(doc)
+
+
+def test_import_checks_unit_count_before_building_the_layout(monkeypatch):
+    def no_layout(n_q, n_s):
+        raise AssertionError(f"built the {n_q} x {n_s} layout")
+
+    monkeypatch.setattr(network, "_layout_units", no_layout)
+    doc = {
+        "meta": {"n_q": 50, "n_s": 50, "h": "2/1",
+                 "states": [f"q{i}" for i in range(50)],
+                 "symbols": [f"s{i}" for i in range(50)]},
+        "units": [],
+        "weights": [],
+    }
+    with pytest.raises(NetworkFormatError, match="unit count 0"):
         import_network(doc)
 
 
