@@ -11,16 +11,13 @@ not approximation.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple
 
 from .machine import Config, TuringMachine
 
 Rational = Fraction
-
-DIGIT_BOUND_ENV = "TM2NET_DIGIT_BOUND"
-DIGIT_BOUND_FACTOR = 64
 
 
 class EncodingError(ValueError):
@@ -32,7 +29,7 @@ class DigitRangeError(EncodingError):
 
 
 class NonTerminatingExpansionError(EncodingError):
-    """A value whose radix expansion does not terminate within the bound."""
+    """A value whose radix expansion does not terminate."""
 
 
 class Point(NamedTuple):
@@ -55,21 +52,6 @@ def parse_rat(text: str) -> Fraction:
         raise EncodingError(f"not a rational: {text!r}") from exc
 
 
-def digit_bound(denominator: int) -> int:
-    """Max digits extracted before an expansion is declared non-terminating.
-
-    Defaults to 64 times the bit length of the denominator; the
-    ``TM2NET_DIGIT_BOUND`` environment variable overrides it outright.
-    """
-    env = os.environ.get(DIGIT_BOUND_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise EncodingError(f"{DIGIT_BOUND_ENV} must be an integer") from exc
-    return DIGIT_BOUND_FACTOR * max(1, denominator.bit_length())
-
-
 def godel_value(digits: Iterable[int], base: int) -> Fraction:
     """Radix fraction of a digit sequence, most significant first."""
     value = Fraction(0)
@@ -80,22 +62,26 @@ def godel_value(digits: Iterable[int], base: int) -> Fraction:
     return value
 
 
-def _digits(value: Fraction, base: int, bound: int | None) -> list[int]:
-    """Greedy digit extraction; inverse of ``godel_value`` on [0, 1)."""
+def _digits(value: Fraction, base: int) -> list[int]:
+    """Digit extraction, most significant first; inverse of ``godel_value`` on [0, 1).
+
+    A reduced p/d terminates in base b exactly when dividing d by gcd(d, b)
+    repeatedly reaches 1, and the number of divisions is its digit count
+    (at most d.bit_length()), so termination is decided before any digit is
+    extracted.
+    """
     if not 0 <= value < 1:
         raise DigitRangeError(f"value {value} outside [0, 1)")
-    limit = bound if bound is not None else digit_bound(value.denominator)
-    digits = []
-    r = value
-    while r:
-        if len(digits) >= limit:
-            raise NonTerminatingExpansionError(
-                f"no terminating base-{base} expansion within {limit} digits"
-            )
-        r *= base
-        d = int(r)
-        digits.append(d)
-        r -= d
+    d, k = value.denominator, 0
+    while d > 1:
+        g = gcd(d, base)
+        if g == 1:
+            raise NonTerminatingExpansionError(f"no terminating base-{base} expansion")
+        d, k = d // g, k + 1
+    n = value.numerator * base ** k // value.denominator
+    digits = [0] * k
+    for pos in reversed(range(k)):
+        n, digits[pos] = divmod(n, base)
     return digits
 
 
@@ -115,23 +101,23 @@ def encode_config(m: TuringMachine, c: Config) -> Point:
     return Point(encode_left(m, c.alpha), encode_right(m, c.beta))
 
 
-def decode_left(m: TuringMachine, x: Fraction, bound: int | None = None) -> tuple[str, ...]:
+def decode_left(m: TuringMachine, x: Fraction) -> tuple[str, ...]:
     """Recover the canonical left half from its Godel value."""
     if not 0 <= x < 1:
         raise DigitRangeError(f"value {x} outside [0, 1)")
     scaled = x * m.n_states
     qi = int(scaled)
-    tail = _digits(scaled - qi, m.n_symbols, bound)
+    tail = _digits(scaled - qi, m.n_symbols)
     return (m.states[qi],) + tuple(m.tape_symbols[d] for d in tail)
 
 
-def decode_right(m: TuringMachine, y: Fraction, bound: int | None = None) -> tuple[str, ...]:
+def decode_right(m: TuringMachine, y: Fraction) -> tuple[str, ...]:
     """Recover the canonical right half from its Godel value."""
-    return tuple(m.tape_symbols[d] for d in _digits(y, m.n_symbols, bound))
+    return tuple(m.tape_symbols[d] for d in _digits(y, m.n_symbols))
 
 
-def decode_point(m: TuringMachine, pt: Point, bound: int | None = None) -> Config:
-    return Config(decode_left(m, pt.x, bound), decode_right(m, pt.y, bound))
+def decode_point(m: TuringMachine, pt: Point) -> Config:
+    return Config(decode_left(m, pt.x), decode_right(m, pt.y))
 
 
 def affine_substitute(v: Fraction, position: int, old_digit: int,

@@ -59,15 +59,15 @@ class Partition:
         )
 
 
+def grid_bounds(n_q: int, n_s: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Uniform grid lines: x width 1/(n_q*n_s), y width 1/n_s, from 0 to 1."""
+    nx, ny = n_q * n_s, n_s
+    return (tuple(Fraction(i, nx) for i in range(nx + 1)),
+            tuple(Fraction(j, ny) for j in range(ny + 1)))
+
+
 def build_partition(m: TuringMachine) -> Partition:
-    """Uniform grid: x width 1/(n_states*n_symbols), y width 1/n_symbols."""
-    nx = m.n_states * m.n_symbols
-    ny = m.n_symbols
-    return Partition(
-        machine=m,
-        x_bounds=tuple(Fraction(i, nx) for i in range(nx + 1)),
-        y_bounds=tuple(Fraction(j, ny) for j in range(ny + 1)),
-    )
+    return Partition(m, *grid_bounds(m.n_states, m.n_symbols))
 
 
 def cell_of_point(p: Partition, pt: Point) -> tuple[int, int]:

@@ -27,10 +27,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from .encode import Point, parse_rat, rat_str
-from .nda import Nda
+from .nda import Nda, grid_bounds
 
 HALT_ATOL = 1e-9  # float-mode fixed-point tolerance per coordinate
-ZERO = Fraction(0)
+ZERO, ONE = Fraction(0), Fraction(1)
 
 MCL_X, MCL_Y = "mcl_x", "mcl_y"
 BSL_X, BSL_Y = "bsl_x", "bsl_y"
@@ -59,6 +59,18 @@ class DegenerateMachineError(ValueError):
 def unit_count(n_q: int, n_s: int) -> int:
     """Total units: 2 MCL + (n_s + n_s*n_q) BSL + 2*n_s^2*n_q LTL + 1 bias."""
     return 2 + n_s + n_s * n_q + 2 * n_s * n_s * n_q + 1
+
+
+def _unit_ids(n_q: int, n_s: int) -> tuple[range, range, range]:
+    """Ids of the BSL x units, the BSL y units and the LTL x units.
+
+    The MCL units are 0 and 1.  The LTL pair of cell (i, j) is the x unit at
+    position i*n_s + j of the third range and the id after it; the bias is
+    the last unit, at that range's stop.
+    """
+    m = n_q * n_s
+    ltl = 2 + m + n_s
+    return range(2, 2 + m), range(2 + m, ltl), range(ltl, ltl + 2 * m * n_s, 2)
 
 
 @dataclass(frozen=True)
@@ -132,32 +144,60 @@ class Network:
         return self.n_units - 1
 
     def bsl_x_id(self, i: int) -> int:
-        return 2 + i
+        return _unit_ids(self.n_q, self.n_s)[0][i]
 
     def bsl_y_id(self, j: int) -> int:
-        return 2 + self.n_x_cells + j
+        return _unit_ids(self.n_q, self.n_s)[1][j]
 
     def ltl_ids(self, i: int, j: int) -> tuple[int, int]:
-        base = 2 + self.n_x_cells + self.n_y_cells + 2 * (i * self.n_y_cells + j)
-        return base, base + 1
+        t = _unit_ids(self.n_q, self.n_s)[2][i * self.n_s + j]
+        return t, t + 1
 
     def weight(self, src: int, dst: int) -> Fraction:
         return self.weights.get((src, dst), Fraction(0))
 
 
 def _layout_units(n_q: int, n_s: int) -> tuple[Unit, ...]:
-    m, n = n_q * n_s, n_s
+    bsl_x, bsl_y, ltl = _unit_ids(n_q, n_s)
     units = [Unit(0, MCL_X), Unit(1, MCL_Y)]
-    units += [Unit(2 + i, BSL_X, index=i) for i in range(m)]
-    units += [Unit(2 + m + j, BSL_Y, index=j) for j in range(n)]
-    uid = 2 + m + n
-    for i in range(m):
-        for j in range(n):
-            units.append(Unit(uid, LTL_X, cell=(i, j)))
-            units.append(Unit(uid + 1, LTL_Y, cell=(i, j)))
-            uid += 2
-    units.append(Unit(uid, BIAS))
+    units += [Unit(u, BSL_X, index=i) for i, u in enumerate(bsl_x)]
+    units += [Unit(u, BSL_Y, index=j) for j, u in enumerate(bsl_y)]
+    for c, t in enumerate(ltl):
+        cell = divmod(c, n_s)
+        units += [Unit(t, LTL_X, cell=cell), Unit(t + 1, LTL_Y, cell=cell)]
+    units.append(Unit(ltl.stop, BIAS))
     return tuple(units)
+
+
+def _wire(n_q: int, n_s: int, h: Fraction, branch_params) -> dict[tuple[int, int], Fraction]:
+    """The exact weights; the only definition of which edges exist.
+
+    ``branch_params[i*n_s + j]`` is ((lambda_x, a_x), (lambda_y, a_y)) of
+    cell (i, j).  Each BSL unit reads its axis' MCL unit against the bias at
+    its grid line; each LTL unit reads lambda*c + a - h from its MCL unit and
+    the bias, +h/2 from its own grid line's BSL unit and -h/2 from the next
+    one's on both axes, and feeds its MCL unit with weight 1.
+    """
+    bsl_x, bsl_y, ltl = _unit_ids(n_q, n_s)
+    bias, excitation = ltl.stop, (h / 2, -h / 2)
+    weights = {}
+    # zip drops the last bound, 1, which has no grid line unit
+    for mcl, ids, bounds in zip((0, 1), (bsl_x, bsl_y), grid_bounds(n_q, n_s)):
+        for b, lo in zip(ids, bounds):
+            weights[(mcl, b)] = ONE
+            if lo:
+                weights[(bias, b)] = -lo
+    for c, (t0, params) in enumerate(zip(ltl, branch_params)):
+        for mcl, (lam, a) in enumerate(params):
+            t = t0 + mcl
+            weights[(mcl, t)] = lam
+            weights[(bias, t)] = a - h
+            # the last grid line of an axis has no next one
+            for ids, k in zip((bsl_x, bsl_y), divmod(c, n_s)):
+                for b, w in zip(ids[k:k + 2], excitation):
+                    weights[(b, t)] = w
+            weights[(t, mcl)] = ONE
+    return weights
 
 
 def build_network(nda: Nda) -> Network:
@@ -169,70 +209,14 @@ def build_network(nda: Nda) -> Network:
     """
     mach = nda.machine
     n_q, n_s = mach.n_states, mach.n_symbols
-    m, n = n_q * n_s, n_s
-
-    peak = max(
-        max(br.a_x + br.lambda_x, br.a_y + br.lambda_y)
-        for br in nda.branches.values()
-    )
+    params = [((br.lambda_x, br.a_x), (br.lambda_y, br.a_y))
+              for _, br in sorted(nda.branches.items())]
+    peak = max(a + lam for cell in params for lam, a in cell)
     if peak <= 0:
         raise DegenerateMachineError("max(a + lambda) must be positive")
     h = 2 * peak
-
-    units = _layout_units(n_q, n_s)
-    bias = unit_count(n_q, n_s) - 1
-    half = h / 2
-
-    def bsl_x(i: int) -> int:
-        return 2 + i
-
-    def bsl_y(j: int) -> int:
-        return 2 + m + j
-
-    def ltl_x(i: int, j: int) -> int:
-        return 2 + m + n + 2 * (i * n + j)
-
-    weights: dict[tuple[int, int], Fraction] = {}
-
-    def put(src: int, dst: int, w: Fraction) -> None:
-        if w:
-            weights[(src, dst)] = w
-
-    for i in range(m):
-        put(0, bsl_x(i), Fraction(1))
-        put(bias, bsl_x(i), -nda.partition.x_bounds[i])
-    for j in range(n):
-        put(1, bsl_y(j), Fraction(1))
-        put(bias, bsl_y(j), -nda.partition.y_bounds[j])
-
-    for (i, j), br in nda.branches.items():
-        tx = ltl_x(i, j)
-        ty = tx + 1
-        put(0, tx, br.lambda_x)
-        put(1, ty, br.lambda_y)
-        put(bias, tx, br.a_x - h)
-        put(bias, ty, br.a_y - h)
-        for t in (tx, ty):
-            put(bsl_x(i), t, half)
-            if i + 1 < m:
-                put(bsl_x(i + 1), t, -half)
-            put(bsl_y(j), t, half)
-            if j + 1 < n:
-                put(bsl_y(j + 1), t, -half)
-        put(tx, 0, Fraction(1))
-        put(ty, 1, Fraction(1))
-
-    net = Network(
-        n_q=n_q,
-        n_s=n_s,
-        states=mach.states,
-        symbols=mach.tape_symbols,
-        h=h,
-        units=units,
-        weights=weights,
-    )
-    assert net.n_units == unit_count(n_q, n_s)
-    return net
+    return Network(n_q=n_q, n_s=n_s, states=mach.states, symbols=mach.tape_symbols,
+                   h=h, units=_layout_units(n_q, n_s), weights=_wire(n_q, n_s, h, params))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -277,11 +261,9 @@ def _exact_values(net: Network, state: NetState) -> tuple:
     vals[0], vals[1] = state.mcl
     vals[net.bias_id] = 1
     if state.corner is not None:
-        i, j = state.corner
-        m, n = net.n_x_cells, net.n_y_cells
-        vals[2:2 + m] = [1] * (i + 1) + [0] * (m - 1 - i)
-        vals[2 + m:2 + m + n] = [1] * (j + 1) + [0] * (n - 1 - j)
-        tx, ty = net.ltl_ids(i, j)
+        for ids, k in zip(_unit_ids(net.n_q, net.n_s), state.corner):
+            vals[ids.start:ids.stop] = [1] * (k + 1) + [0] * (len(ids) - 1 - k)
+        tx, ty = net.ltl_ids(*state.corner)
         vals[tx], vals[ty] = state.mcl
     return tuple(vals)
 
@@ -489,11 +471,19 @@ def export_network(net: Network) -> dict:
     }
 
 
-def import_network(doc: dict) -> Network:
-    """Parse and fully validate a serialized network.
+# what parsing a malformed document can raise, besides NetworkFormatError
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
 
-    Rejects unit lists that break the count formula or the canonical
-    layout, and any weight off the permitted value set of its edge type.
+
+def import_network(doc: dict) -> Network:
+    """Parse a serialized network and require the wiring its parameters give.
+
+    After the unit count and the canonical unit layout, each cell's
+    (lambda, a) is read off the document's MCL -> LTL and bias -> LTL edges;
+    lambda must be positive and a + lambda at most h/2.  ``_wire`` rebuilds
+    every weight from those and the document's h, and the document must
+    hold exactly that weight dict: the first differing, missing or extra
+    edge is reported.  Any malformed document raises NetworkFormatError.
     """
     try:
         meta = doc["meta"]
@@ -503,8 +493,10 @@ def import_network(doc: dict) -> Network:
         symbols = tuple(meta["symbols"])
         unit_docs = doc["units"]
         weight_docs = doc["weights"]
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise NetworkFormatError(f"malformed network document: {exc}") from exc
+    if not (isinstance(unit_docs, list) and isinstance(weight_docs, list)):
+        raise NetworkFormatError("units and weights must be lists")
     if n_q < 1 or n_s < 1:
         raise NetworkFormatError("n_q and n_s must be positive")
     if len(states) != n_q or len(symbols) != n_s:
@@ -519,39 +511,37 @@ def import_network(doc: dict) -> Network:
             f"unit count {len(unit_docs)} does not match the formula value "
             f"{unit_count(n_q, n_s)} for n_q={n_q}, n_s={n_s}"
         )
-    expected_units = _layout_units(n_q, n_s)
+    units = _layout_units(n_q, n_s)
     try:
         unit_docs = sorted(unit_docs, key=lambda u: u.get("id", -1))
-    except (AttributeError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise NetworkFormatError("malformed unit list") from exc
-    units = []
-    for entry in unit_docs:
+    for entry, want in zip(unit_docs, units):
         try:
             params = entry.get("params", {})
-            u = Unit(
+            got = Unit(
                 id=int(entry["id"]),
                 kind=entry["kind"],
                 index=params.get("index"),
                 cell=tuple(params["cell"]) if "cell" in params else None,
             )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            activation = params.get("activation", ACTIVATION[want.kind])
+        except _MALFORMED as exc:
             raise NetworkFormatError(f"malformed unit entry: {entry}") from exc
-        if "activation" in params and params["activation"] != ACTIVATION.get(u.kind):
-            raise NetworkFormatError(f"unit {u.id}: wrong activation for {u.kind}")
-        units.append(u)
-    for got, want in zip(units, expected_units):
         if got != want:
             raise NetworkFormatError(
                 f"unit {got.id} deviates from the canonical layout: "
                 f"got {got}, expected {want}"
             )
+        if activation != ACTIVATION[want.kind]:
+            raise NetworkFormatError(f"unit {got.id}: wrong activation for {got.kind}")
 
     weights: dict[tuple[int, int], Fraction] = {}
     for entry in weight_docs:
         try:
             src, dst = int(entry["from"]), int(entry["to"])
             w = parse_rat(entry["value"])
-        except (KeyError, TypeError) as exc:
+        except _MALFORMED as exc:
             raise NetworkFormatError(f"malformed weight entry: {entry}") from exc
         if not (0 <= src < len(units) and 0 <= dst < len(units)):
             raise NetworkFormatError(f"weight references unknown unit: {entry}")
@@ -559,67 +549,37 @@ def import_network(doc: dict) -> Network:
             raise NetworkFormatError(f"duplicate weight for edge {(src, dst)}")
         weights[(src, dst)] = w
 
-    net = Network(n_q=n_q, n_s=n_s, states=states, symbols=symbols, h=h,
-                  units=tuple(units), weights=weights)
-    _validate_wiring(net)
-    return net
+    def name(u: int) -> str:
+        return f"{units[u].kind} {u}"
 
+    def edge(src: int, dst: int) -> Fraction:
+        if (src, dst) not in weights:
+            raise NetworkFormatError(f"{name(src)} -> {name(dst)}: missing edge")
+        return weights[(src, dst)]
 
-def _validate_wiring(net: Network) -> None:
-    """Check every edge against the architecture and its permitted value."""
-    m, n = net.n_x_cells, net.n_y_cells
-    h, half = net.h, net.h / 2
-    bias = net.bias_id
-    allowed: set[tuple[int, int]] = set()
+    def branch_params(mcl: int, t: int) -> tuple[Fraction, Fraction]:
+        lam, a = edge(mcl, t), edge(bias, t) + h
+        if not (lam > 0 and a + lam <= h / 2):
+            raise NetworkFormatError(f"{name(t)}: lambda = {lam} and a = {a} break "
+                                     f"0 < lambda and a + lambda <= h/2 = {h / 2}")
+        return lam, a
 
-    def expect(src: int, dst: int, value: Fraction, label: str) -> None:
-        allowed.add((src, dst))
-        if net.weight(src, dst) != value:
+    ltl, bias = _unit_ids(n_q, n_s)[2], units[-1].id
+    wired = _wire(n_q, n_s, h, [(branch_params(0, t), branch_params(1, t + 1)) for t in ltl])
+    for (src, dst), want in wired.items():
+        if (got := edge(src, dst)) != want:
             raise NetworkFormatError(
-                f"{label}: weight {net.weight(src, dst)} != required {value}"
-            )
-
-    def grab(src: int, dst: int, label: str) -> Fraction:
-        allowed.add((src, dst))
-        if (src, dst) not in net.weights:
-            raise NetworkFormatError(f"{label}: missing edge")
-        return net.weights[(src, dst)]
-
-    for i in range(m):
-        b = net.bsl_x_id(i)
-        expect(0, b, Fraction(1), f"mcl_x -> bsl_x[{i}]")
-        expect(bias, b, Fraction(-i, m), f"bias -> bsl_x[{i}]")
-    for j in range(n):
-        b = net.bsl_y_id(j)
-        expect(1, b, Fraction(1), f"mcl_y -> bsl_y[{j}]")
-        expect(bias, b, Fraction(-j, n), f"bias -> bsl_y[{j}]")
-
-    for i in range(m):
-        for j in range(n):
-            tx, ty = net.ltl_ids(i, j)
-            for t, mcl, axis in ((tx, 0, "x"), (ty, 1, "y")):
-                label = f"ltl_{axis}{(i, j)}"
-                lam = grab(mcl, t, f"mcl -> {label}")
-                if lam <= 0:
-                    raise NetworkFormatError(f"{label}: lambda must be positive")
-                a = grab(bias, t, f"bias -> {label}") + h
-                if a + lam > half:
-                    raise NetworkFormatError(
-                        f"{label}: a + lambda = {a + lam} exceeds h/2 = {half}"
-                    )
-                expect(net.bsl_x_id(i), t, half, f"bsl_x[{i}] -> {label}")
-                if i + 1 < m:
-                    expect(net.bsl_x_id(i + 1), t, -half, f"bsl_x[{i + 1}] -> {label}")
-                expect(net.bsl_y_id(j), t, half, f"bsl_y[{j}] -> {label}")
-                if j + 1 < n:
-                    expect(net.bsl_y_id(j + 1), t, -half, f"bsl_y[{j + 1}] -> {label}")
-                expect(t, mcl, Fraction(1), f"{label} -> mcl")
-
-    extras = set(net.weights) - allowed
+                f"{name(src)} -> {name(dst)}: weight {got} != required {want}")
+    extras = weights.keys() - wired.keys()
     if extras:
         raise NetworkFormatError(
             f"edges outside the permitted architecture: {sorted(extras)[:5]}"
         )
+    try:
+        return Network(n_q=n_q, n_s=n_s, states=states, symbols=symbols, h=h,
+                       units=units, weights=wired)
+    except OverflowError as exc:  # the float64 edge table
+        raise NetworkFormatError(f"a weight exceeds the float64 range: {exc}") from exc
 
 
 # Imported last: the certificate module builds on the definitions above.

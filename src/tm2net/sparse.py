@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .network import ZERO, Network, NetworkFormatError, unit_count
+from .network import ZERO, Network, NetworkFormatError, _unit_ids, unit_count
 
 
 def certify(net: Network) -> tuple:
@@ -34,14 +34,15 @@ def certify(net: Network) -> tuple:
     ramp(lambda*c + c_axis) on each axis.  Raises NetworkFormatError when a
     condition fails.
     """
-    m, n, bias = net.n_x_cells, net.n_y_cells, net.bias_id
+    bsl_x, bsl_y, ltl = _unit_ids(net.n_q, net.n_s)
+    m, n, bias = len(bsl_x), len(bsl_y), net.bias_id
 
     def reject(why: str):
         raise NetworkFormatError(f"network fails the sparse-step certificate: {why}")
 
     if (net.n_units != unit_count(net.n_q, net.n_s)
-            or net._bsl_ids != tuple(range(2, 2 + m + n))
-            or net._ltl_ids != tuple(range(2 + m + n, bias))):
+            or net._bsl_ids != (*bsl_x, *bsl_y)
+            or net._ltl_ids != tuple(range(ltl.start, bias))):
         reject("the BSL and LTL units deviate from the canonical layout")
 
     def thresholds(mcl: int, ids: range) -> tuple:
@@ -57,12 +58,10 @@ def certify(net: Network) -> tuple:
                    "from at most 0")
         return tuple(out)
 
-    th_x = thresholds(0, range(2, 2 + m))
-    th_y = thresholds(1, range(2 + m, 2 + m + n))
+    th_x, th_y = thresholds(0, bsl_x), thresholds(1, bsl_y)
 
     for mcl in (0, 1):
-        want = tuple((net.ltl_ids(i, j)[mcl], 1) for i in range(m) for j in range(n))
-        if net._in_edges[mcl] != want:
+        if net._in_edges[mcl] != tuple((t + mcl, 1) for t in ltl):
             reject(f"MCL unit {mcl} must sum exactly its LTL units with weight 1")
 
     # the LTL bounds are summed as integers over one common denominator
@@ -72,29 +71,29 @@ def certify(net: Network) -> tuple:
         return w.numerator * (scale // w.denominator)
 
     cells = []
-    for i in range(m):
-        for j in range(n):
-            cell = []
-            for mcl, t in enumerate(net.ltl_ids(i, j)):
-                lam, beta, from_x, from_y = ZERO, 0, {}, {}
-                for src, w in net._in_edges[t]:
-                    if src == mcl:
-                        lam = w
-                    elif src == bias:
-                        beta = scaled(w)
-                    elif 2 <= src < 2 + m:
-                        from_x[src - 2] = scaled(w)
-                    elif 2 + m <= src < 2 + m + n:
-                        from_y[src - 2 - m] = scaled(w)
-                    else:
-                        reject(f"LTL unit {t} reads unit {src}")
-                own_x, off_x, top_x = _staircase_excitation(from_x, m, i)
-                own_y, off_y, top_y = _staircase_excitation(from_y, n, j)
-                if max(scaled(lam), 0) + beta + max(off_x + top_y, top_x + off_y) > 0:
-                    reject(f"LTL unit {t} of cell {(i, j)} can fire away from "
-                           "its staircase corner")
-                cell += (lam, Fraction(beta + own_x + own_y, scale))
-            cells.append(tuple(cell))
+    for c, t0 in enumerate(ltl):
+        i, j = divmod(c, n)
+        cell = []
+        for mcl, t in enumerate((t0, t0 + 1)):
+            lam, beta, from_x, from_y = ZERO, 0, {}, {}
+            for src, w in net._in_edges[t]:
+                if src == mcl:
+                    lam = w
+                elif src == bias:
+                    beta = scaled(w)
+                elif src in bsl_x:
+                    from_x[src - bsl_x.start] = scaled(w)
+                elif src in bsl_y:
+                    from_y[src - bsl_y.start] = scaled(w)
+                else:
+                    reject(f"LTL unit {t} reads unit {src}")
+            own_x, off_x, top_x = _staircase_excitation(from_x, m, i)
+            own_y, off_y, top_y = _staircase_excitation(from_y, n, j)
+            if max(scaled(lam), 0) + beta + max(off_x + top_y, top_x + off_y) > 0:
+                reject(f"LTL unit {t} of cell {(i, j)} can fire away from "
+                       "its staircase corner")
+            cell += (lam, Fraction(beta + own_x + own_y, scale))
+        cells.append(tuple(cell))
     return th_x, th_y, tuple(cells)
 
 

@@ -15,7 +15,6 @@ from tm2net.encode import (
     decode_left,
     decode_point,
     decode_right,
-    digit_bound,
     encode_config,
     encode_left,
     encode_right,
@@ -165,18 +164,18 @@ def test_rat_str_and_parse():
         parse_rat("1/0")
 
 
-def test_digit_bound_default_and_env(flip, monkeypatch):
-    assert digit_bound(7) == 64 * 3
-    monkeypatch.setenv("TM2NET_DIGIT_BOUND", "2")
-    with pytest.raises(NonTerminatingExpansionError):
-        decode_right(flip, encode_right(flip, ("0", "0", "1")))
-    monkeypatch.setenv("TM2NET_DIGIT_BOUND", "4096")
-    assert decode_right(flip, encode_right(flip, ("0", "0", "1"))) == ("0", "0", "1")
-    monkeypatch.setenv("TM2NET_DIGIT_BOUND", "many")
-    with pytest.raises(EncodingError, match="must be an integer"):
-        decode_right(flip, Fraction(5, 9))
+@pytest.mark.parametrize("value", [Fraction(1, 7), Fraction(5, 63), Fraction(5, 7 * 3 ** 3000)],
+                         ids=["1_over_7", "5_over_63", "long_prefix"])
+def test_non_terminating_expansion_raises_before_extracting_digits(flip, value):
+    # the last value has 3000 ternary digits before the 1/7 part repeats; the
+    # denominator alone decides, so no prefix of digits is extracted first
+    with pytest.raises(NonTerminatingExpansionError, match="base-3"):
+        decode_right(flip, value)
 
 
-def test_explicit_bound_beats_default(flip):
-    with pytest.raises(NonTerminatingExpansionError):
-        decode_right(flip, Fraction(5, 9), bound=1)
+@pytest.mark.parametrize("k", [1, 2, 7, 64, 3000])
+def test_value_over_power_of_base_has_exactly_that_many_digits(flip, k):
+    value = Fraction(3 ** k // 2, 3 ** k)  # numerator not divisible by 3
+    right = decode_right(flip, value)
+    assert len(right) == k and right[-1] != flip.blank
+    assert encode_right(flip, right) == value

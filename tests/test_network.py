@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tm2net import network
-from tm2net.encode import Point, encode_config
+from tm2net.encode import Point, encode_config, rat_str
 from tm2net.machine import initial_config, parse_machine, run_tm
 from tm2net.nda import build_nda, cell_of_point
 from tm2net.network import (
@@ -316,13 +316,66 @@ def test_exact_run_and_rows_build_no_activation_vector(flip, flip_net):
     assert trace.states[1].values[0] == trace.states[1].mcl[0]
 
 
-def test_export_round_trip(flip_net):
+def test_export_round_trip(flip_net, stub74):
     doc = export_network(flip_net)
     assert doc["meta"]["h"] == "7/1"
     assert len(doc["units"]) == 48
-    clone = import_network(json.loads(json.dumps(doc)))
-    assert clone == flip_net
-    assert clone.h == flip_net.h
+    # build and import share one wiring; the round trip holds for any machine
+    rng = random.Random(19)
+    nets = [flip_net, build_network(build_nda(stub74))]
+    nets += [build_network(build_nda(random_machine(rng))) for _ in range(6)]
+    for net in nets:
+        clone = import_network(json.loads(json.dumps(export_network(net))))
+        assert clone == net
+        assert clone.h == net.h
+
+
+def json_paths(node, path=()):
+    """(path, node) of every node below the root of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,), child
+        yield from json_paths(child, path + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.integers(), st.text(max_size=8),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_import_rejects_or_certifies_any_mutated_document(flip_net, data):
+    doc = json.loads(json.dumps(export_network(flip_net)))
+    kind = data.draw(st.sampled_from(["replace", "delete", "append", "duplicate"]))
+    if kind in ("append", "duplicate"):
+        weights = doc["weights"]
+        entry = data.draw(st.sampled_from(weights)) if kind == "duplicate" else {
+            "from": data.draw(st.integers(-1, 48)),
+            "to": data.draw(st.integers(-1, 48)),
+            "value": str(data.draw(st.fractions(-8, 8, max_denominator=12))),
+        }
+        weights.append(dict(entry))
+    else:
+        paths = [p for p, node in json_paths(doc)
+                 if (not isinstance(node, (dict, list)) if kind == "replace"
+                     else isinstance(p[-1], str))]
+        *parents, key = data.draw(st.sampled_from(paths))
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        if kind == "replace":
+            parent[key] = data.draw(JSON_VALUES)
+        else:
+            del parent[key]
+    try:
+        net = import_network(doc)
+    except NetworkFormatError:
+        return
+    net_step(net, initial_state(net, Point(Fraction(1, 2), Fraction(1, 2))))
 
 
 def test_import_rejects_wrong_unit_count(flip_net):
@@ -366,6 +419,23 @@ def test_import_rejects_extra_edge(flip_net):
     doc = export_network(flip_net)
     doc["weights"].append({"from": 0, "to": 1, "value": "1/1"})
     with pytest.raises(NetworkFormatError, match="outside the permitted"):
+        import_network(doc)
+
+
+@pytest.mark.parametrize("edit", ["lambda_not_positive", "a_plus_lambda_above_half_h"])
+def test_import_rejects_branch_parameters_outside_the_architecture(flip_net, edit):
+    # the wiring is rebuilt from the document's own (lambda, a), so only
+    # these bounds can reject such an edit
+    t = tight_ltl_unit(flip_net)
+    mcl = 0 if flip_net.units[t].kind == LTL_X else 1
+    src, value = {"lambda_not_positive": (mcl, Fraction(-1, 3)),
+                  "a_plus_lambda_above_half_h": (
+                      flip_net.bias_id, flip_net.weight(flip_net.bias_id, t) + Fraction(1, 10**9)),
+                  }[edit]
+    doc = export_network(flip_net)
+    entry = next(e for e in doc["weights"] if (e["from"], e["to"]) == (src, t))
+    entry["value"] = rat_str(value)
+    with pytest.raises(NetworkFormatError, match=r"0 < lambda and a \+ lambda <= h/2"):
         import_network(doc)
 
 
