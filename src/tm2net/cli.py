@@ -189,7 +189,8 @@ class CompareResult:
 def compare_levels(m: TuringMachine, word, max_steps: int,
                    auto: nda.Nda | None = None,
                    net: network.Network | None = None) -> CompareResult:
-    """Run all four levels in lockstep (exact mode) and compare pointwise.
+    """Run all four levels in lockstep (exact mode) and compare every step:
+    gs with tm on configurations, nda and net with tm on encoded points.
 
     ``auto``/``net`` exist as injection points so tests can feed corrupted
     systems and observe the divergence step.
@@ -205,13 +206,12 @@ def compare_levels(m: TuringMachine, word, max_steps: int,
     pt = encode_config(m, c0)
     state = network.initial_state(net, pt)
     for t in range(steps + 1):
-        reference = encode_config(m, tm_trace.configs[t])
-        others = (
-            ("gs", encode_config(m, gs_c)),
-            ("nda", pt),
-            ("net", Point(*state.mcl)),
-        )
-        for level, got in others:
+        tm_c = tm_trace.configs[t]
+        reference = encode_config(m, tm_c)
+        if gs_c != tm_c:  # both canonical, so equal exactly when their points are
+            return CompareResult(False, steps, tm_trace.halted,
+                                 (t, "tm", "gs", reference, encode_config(m, gs_c)))
+        for level, got in (("nda", pt), ("net", Point(*state.mcl))):
             if got != reference:
                 return CompareResult(False, steps, tm_trace.halted,
                                      (t, "tm", level, reference, got))
@@ -329,21 +329,16 @@ def cmd_compare(args) -> int:
 def cmd_info(args) -> int:
     m = _load_machine(args.machine)
     net = network.build_network(nda.build_nda(m))
-    n_q, n_s = m.n_states, m.n_symbols
-    n_bsl = n_s + n_q * n_s
-    n_ltl = 2 * n_q * n_s * n_s
-    print(f"states: {n_q} ({' '.join(m.states)})")
-    print(f"tape symbols: {n_s} ({' '.join(m.tape_symbols)}), blank: {m.blank}")
-    print(f"cells: {n_q * n_s * n_s}, MCL: 2, BSL: {n_bsl}, LTL: {n_ltl}, "
-          f"bias: 1, total: {net.n_units}")
+    bsl_x, bsl_y, ltl = network._unit_ids(net.n_q, net.n_s)
+    print(f"states: {m.n_states} ({' '.join(m.states)})")
+    print(f"tape symbols: {m.n_symbols} ({' '.join(m.tape_symbols)}), blank: {m.blank}")
+    print(f"cells: {len(ltl)}, MCL: 2, BSL: {len(bsl_x) + len(bsl_y)}, "
+          f"LTL: {2 * len(ltl)}, bias: 1, total: {net.n_units}")
     print(f"h: {rat_str(net.h)}")
-    lambdas = {w for (s, d), w in net.weights.items()
-               if s in (0, 1) and net.units[d].kind in (network.LTL_X, network.LTL_Y)}
-    offsets = {w for (s, d), w in net.weights.items()
-               if s == net.bias_id and net.units[d].kind in (network.LTL_X, network.LTL_Y)}
-    thresholds = {-w for (s, d), w in net.weights.items()
-                  if s == net.bias_id and net.units[d].kind in (network.BSL_X, network.BSL_Y)}
-    thresholds.add(encode.Rational(0))  # zero thresholds are stored implicitly
+    lambdas = {lam for cell in net.branch_params for lam, _ in cell}
+    offsets = {a - net.h for cell in net.branch_params for _, a in cell}
+    # a BSL unit's threshold is its grid line; the last bound, 1, has none
+    thresholds = {b for bounds in nda.grid_bounds(net.n_q, net.n_s) for b in bounds[:-1]}
     print(f"weights: {len(net.weights)} edges; values 1 and +-h/2, "
           f"{len(lambdas)} distinct scale weights, "
           f"{len(offsets)} distinct bias offsets, "

@@ -11,6 +11,7 @@ not approximation.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple
@@ -18,6 +19,8 @@ from typing import Iterable, NamedTuple
 from .machine import Config, TuringMachine
 
 Rational = Fraction
+
+_RAT = re.compile(r"(-?[0-9]+)/(0*[1-9][0-9]*)")  # a nonzero denominator
 
 
 class EncodingError(ValueError):
@@ -46,10 +49,15 @@ def rat_str(value) -> str:
 
 
 def parse_rat(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise EncodingError(f"not a rational: {text!r}") from exc
+    """Parse exactly the ``num/den`` form ``rat_str`` writes.
+
+    Other ``Fraction`` string forms are rejected: an exponent such as
+    ``1e4000000`` builds a 13-million-bit integer from nine characters.
+    """
+    match = _RAT.fullmatch(text)
+    if match is None:
+        raise EncodingError(f"not a rational num/den: {text!r}")
+    return Fraction(int(match[1]), int(match[2]))
 
 
 def godel_value(digits: Iterable[int], base: int) -> Fraction:

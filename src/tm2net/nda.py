@@ -182,24 +182,16 @@ def run_nda(nda: Nda, pt0: Point, max_steps: int) -> NdaTrace:
     """Iterate the flow; stops when the current cell belongs to a halt state."""
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    m = nda.machine
     p = nda.partition
-
-    def branch_of(pt: Point) -> Branch | None:
-        """The branch selected at ``pt``; None in a halt state's cell."""
-        i, j = cell_of_point(p, pt)
-        if p.triple_of_cell(i, j).state in m.halt_states:
-            return None
-        return nda.branches[(i, j)]
-
     points = [pt0]
-    br = branch_of(pt0)
+    # a cell's action is None exactly when its state halts
+    br = nda.branches[cell_of_point(p, pt0)]
     for _ in range(max_steps):
-        if br is None:
+        if br.action is None:
             break
         points.append(br.apply(points[-1]))
-        br = branch_of(points[-1])
-    return NdaTrace(tuple(points), halted=br is None)
+        br = nda.branches[cell_of_point(p, points[-1])]
+    return NdaTrace(tuple(points), halted=br.action is None)
 
 
 def nda_to_json(nda: Nda) -> dict:

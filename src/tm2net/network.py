@@ -11,20 +11,19 @@ one network iteration per machine step:
   that cell's affine map, silenced by a bias -h unless the BSL delivers the
   full h of excitation (h/2 per axis, inhibition from the next line's unit).
 
-Every weight is an exact rational; simulation runs either exactly or in
-float64 (the latter only to show how expansion destroys the encoding).
-Exact mode computes only what can be nonzero: the BSL staircase from the
-sorted thresholds, then the LTL pair at its corner, then the MCL.  A
-certificate checked on the weights makes that equal to the dense sweep,
-which float64 mode runs.
+Every weight is an exact rational fixed by the grid, h and each cell's
+(lambda, a); simulation runs either exactly or in float64 (the latter only
+to show how expansion destroys the encoding).  Exact mode computes only
+what can be nonzero: the BSL staircase corner from the grid, then its LTL
+pair, then the MCL.  The bounds 0 < lambda and a + lambda <= h/2, enforced
+by the constructor, make that equal to the dense sweep float64 mode runs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from functools import cached_property
 
 from .encode import Point, parse_rat, rat_str
 from .nda import Nda, grid_bounds
@@ -83,10 +82,10 @@ class Unit:
 
 @dataclass(frozen=True)
 class Network:
-    """Units plus exact weighted adjacency; immutable after construction.
-
-    ``weights`` maps (from unit id, to unit id) to the exact weight; zero
-    entries are omitted.  The machine enumeration tables travel along so a
+    """A network is its branch table: h and the per-cell ``branch_params``
+    that ``_wire`` takes.  ``units`` and ``weights``, which maps (from unit
+    id, to unit id) to the exact weight and omits zero entries, are derived
+    on first read.  The machine enumeration tables travel along so a
     serialized network stays decodable.
     """
 
@@ -95,41 +94,61 @@ class Network:
     states: tuple[str, ...]
     symbols: tuple[str, ...]
     h: Fraction
-    units: tuple[Unit, ...]
-    weights: Mapping[tuple[int, int], Fraction]
-
-    _bsl_ids: tuple = field(init=False, repr=False, compare=False)
-    _ltl_ids: tuple = field(init=False, repr=False, compare=False)
-    _in_edges: tuple = field(init=False, repr=False, compare=False)
-    _in_edges_float: tuple = field(init=False, repr=False, compare=False)
-    # (x thresholds, y thresholds, per-cell corner maps) of the sparse exact
-    # step, set by the first exact step; see sparse.certify
-    _sparse: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    branch_params: tuple
 
     def __post_init__(self):
-        n = len(self.units)
-        incoming = [[] for _ in range(n)]
+        """Enforce the bounds that make the sparse step equal the sweep.
+
+        Off its staircase corner an LTL unit receives at most h/2 from the
+        BSL, so over [0, 1]^2 its input is at most lambda + a - h/2 <= 0.
+        """
+        if not self.h > 0:
+            raise NetworkFormatError("h must be positive")
+        ltl, half = _unit_ids(self.n_q, self.n_s)[2], self.h / 2
+        if len(self.branch_params) != len(ltl):
+            raise NetworkFormatError("branch_params needs one entry per cell")
+        for t, params in zip(ltl, self.branch_params):
+            for u, kind, (lam, a) in zip((t, t + 1), (LTL_X, LTL_Y), params):
+                if not (lam > 0 and a + lam <= half):
+                    raise NetworkFormatError(
+                        f"{kind} {u}: lambda = {lam} and a = {a} break "
+                        f"0 < lambda and a + lambda <= h/2 = {half}")
+
+    @cached_property
+    def units(self) -> tuple[Unit, ...]:
+        return _layout_units(self.n_q, self.n_s)
+
+    @cached_property
+    def weights(self) -> dict[tuple[int, int], Fraction]:
+        return _wire(self.n_q, self.n_s, self.h, self.branch_params)
+
+    @cached_property
+    def _in_edges(self) -> tuple:
+        incoming = [[] for _ in range(self.n_units)]
         for (src, dst), w in sorted(self.weights.items(), key=lambda kv: (kv[0][1], kv[0][0])):
             incoming[dst].append((src, w))
-        in_edges = tuple(tuple(edges) for edges in incoming)
-        object.__setattr__(self, "_in_edges", in_edges)
-        object.__setattr__(
-            self,
-            "_in_edges_float",
-            tuple(tuple((src, float(w)) for src, w in edges) for edges in in_edges),
-        )
-        object.__setattr__(
-            self, "_bsl_ids",
-            tuple(u.id for u in self.units if u.kind in (BSL_X, BSL_Y)),
-        )
-        object.__setattr__(
-            self, "_ltl_ids",
-            tuple(u.id for u in self.units if u.kind in (LTL_X, LTL_Y)),
-        )
+        return tuple(tuple(edges) for edges in incoming)
+
+    @cached_property
+    def _in_edges_float(self) -> tuple:
+        try:
+            return tuple(tuple((src, float(w)) for src, w in edges)
+                         for edges in self._in_edges)
+        except OverflowError as exc:
+            raise NetworkFormatError(f"a weight exceeds the float64 range: {exc}") from exc
+
+    @cached_property
+    def _bsl_ids(self) -> tuple[int, ...]:
+        return tuple(u for ids in _unit_ids(self.n_q, self.n_s)[:2] for u in ids)
+
+    @cached_property
+    def _ltl_ids(self) -> tuple[int, ...]:
+        ltl = _unit_ids(self.n_q, self.n_s)[2]
+        return tuple(range(ltl.start, ltl.stop))
 
     @property
     def n_units(self) -> int:
-        return len(self.units)
+        return unit_count(self.n_q, self.n_s)
 
     @property
     def n_x_cells(self) -> int:
@@ -209,14 +228,14 @@ def build_network(nda: Nda) -> Network:
     """
     mach = nda.machine
     n_q, n_s = mach.n_states, mach.n_symbols
-    params = [((br.lambda_x, br.a_x), (br.lambda_y, br.a_y))
-              for _, br in sorted(nda.branches.items())]
+    params = tuple(((br.lambda_x, br.a_x), (br.lambda_y, br.a_y))
+                   for _, br in sorted(nda.branches.items()))
     peak = max(a + lam for cell in params for lam, a in cell)
     if peak <= 0:
         raise DegenerateMachineError("max(a + lambda) must be positive")
     h = 2 * peak
     return Network(n_q=n_q, n_s=n_s, states=mach.states, symbols=mach.tape_symbols,
-                   h=h, units=_layout_units(n_q, n_s), weights=_wire(n_q, n_s, h, params))
+                   h=h, branch_params=params)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -225,9 +244,9 @@ class NetState:
 
     A float64 state holds its whole activation vector.  An exact state holds
     only the MCL and the BSL staircase corner (i*, j*) of the sweep that
-    produced it (None before the first sweep).  Under the network's sparse
-    certificate these fix every activation, so ``values`` is built from them
-    on first read, element-wise equal to what the dense sweep gives.
+    produced it (None before the first sweep).  Under the network's branch
+    bounds these fix every activation, so ``values`` is built from them on
+    first read, element-wise equal to what the dense sweep gives.
     """
 
     mode: str  # "exact" | "float64"
@@ -283,8 +302,8 @@ def initial_state(net: Network, pt: Point, mode: str = "exact") -> NetState:
 def net_step(net: Network, state: NetState) -> NetState:
     """One machine step.
 
-    Exact mode runs the certified sparse step (``_sparse_step``); float64
-    runs the dense three-phase sweep (``_dense_sweep``).
+    Exact mode runs the sparse step (``_sparse_step``); float64 runs the
+    dense three-phase sweep (``_dense_sweep``).
     """
     if state.mode == "exact":
         return _sparse_step(net, state)
@@ -331,27 +350,22 @@ def _dense_sweep(net: Network, values: tuple, exact: bool) -> tuple:
 def _sparse_step(net: Network, state: NetState) -> NetState:
     """The exact step computing only what can be nonzero.
 
-    The BSL staircase corner comes from bisecting the sorted thresholds; the
-    corner's LTL pair is the only one that can fire, and the MCL takes its
-    outputs.  Equal to ``_dense_sweep`` on every MCL in [0, 1]^2.
+    The BSL staircase corner is the grid cell of the MCL, closed at x = 1
+    and y = 1 where every BSL unit of the axis is on; the corner's LTL pair
+    is the only one that can fire, and the MCL takes its outputs.  Equal to
+    ``_dense_sweep`` on every MCL in [0, 1]^2.
     """
-    th_x, th_y, cells = _sparse_tables(net)
     x, y = state.mcl
     if not (0 <= x <= 1 and 0 <= y <= 1):
         raise ValueError(f"MCL ({x}, {y}) lies outside [0, 1]^2, "
-                         "where the sparse step is not certified")
-    i, j = bisect_right(th_x, x) - 1, bisect_right(th_y, y) - 1
-    lam_x, c_x, lam_y, c_y = cells[i * len(th_y) + j]
-    x, y = lam_x * x + c_x, lam_y * y + c_y
+                         "where the sparse step is not proven")
+    n_x, n_y = net.n_x_cells, net.n_y_cells
+    i = min(x.numerator * n_x // x.denominator, n_x - 1)
+    j = min(y.numerator * n_y // y.denominator, n_y - 1)
+    (lam_x, a_x), (lam_y, a_y) = net.branch_params[i * n_y + j]
+    x, y = lam_x * x + a_x, lam_y * y + a_y
     return NetState(state.mode, (x if x > 0 else ZERO, y if y > 0 else ZERO),
                     (i, j), net)
-
-
-def _sparse_tables(net: Network) -> tuple:
-    """The network's certified sparse-step tables, derived once per network."""
-    if net._sparse is None:
-        object.__setattr__(net, "_sparse", certify(net))
-    return net._sparse
 
 
 def _mcl_fixed(net: Network, a: NetState, b: NetState) -> bool:
@@ -479,11 +493,11 @@ def import_network(doc: dict) -> Network:
     """Parse a serialized network and require the wiring its parameters give.
 
     After the unit count and the canonical unit layout, each cell's
-    (lambda, a) is read off the document's MCL -> LTL and bias -> LTL edges;
-    lambda must be positive and a + lambda at most h/2.  ``_wire`` rebuilds
-    every weight from those and the document's h, and the document must
-    hold exactly that weight dict: the first differing, missing or extra
-    edge is reported.  Any malformed document raises NetworkFormatError.
+    (lambda, a) is read off the document's MCL -> LTL and bias -> LTL edges,
+    and the ``Network`` of those and the document's h is constructed, which
+    bounds them.  The document must hold exactly that network's weight dict:
+    the first differing, missing or extra edge is reported.  Any malformed
+    document raises NetworkFormatError.
     """
     try:
         meta = doc["meta"]
@@ -501,8 +515,6 @@ def import_network(doc: dict) -> Network:
         raise NetworkFormatError("n_q and n_s must be positive")
     if len(states) != n_q or len(symbols) != n_s:
         raise NetworkFormatError("state/symbol tables do not match n_q/n_s")
-    if h <= 0:
-        raise NetworkFormatError("h must be positive")
 
     # the count is checked before the layout is built, so a document cannot
     # make the import allocate more units than it lists
@@ -557,30 +569,18 @@ def import_network(doc: dict) -> Network:
             raise NetworkFormatError(f"{name(src)} -> {name(dst)}: missing edge")
         return weights[(src, dst)]
 
-    def branch_params(mcl: int, t: int) -> tuple[Fraction, Fraction]:
-        lam, a = edge(mcl, t), edge(bias, t) + h
-        if not (lam > 0 and a + lam <= h / 2):
-            raise NetworkFormatError(f"{name(t)}: lambda = {lam} and a = {a} break "
-                                     f"0 < lambda and a + lambda <= h/2 = {h / 2}")
-        return lam, a
-
     ltl, bias = _unit_ids(n_q, n_s)[2], units[-1].id
-    wired = _wire(n_q, n_s, h, [(branch_params(0, t), branch_params(1, t + 1)) for t in ltl])
-    for (src, dst), want in wired.items():
+    net = Network(n_q=n_q, n_s=n_s, states=states, symbols=symbols, h=h,
+                  branch_params=tuple(((edge(0, t), edge(bias, t) + h),
+                                       (edge(1, t + 1), edge(bias, t + 1) + h))
+                                      for t in ltl))
+    for (src, dst), want in net.weights.items():
         if (got := edge(src, dst)) != want:
             raise NetworkFormatError(
                 f"{name(src)} -> {name(dst)}: weight {got} != required {want}")
-    extras = weights.keys() - wired.keys()
+    extras = weights.keys() - net.weights.keys()
     if extras:
         raise NetworkFormatError(
             f"edges outside the permitted architecture: {sorted(extras)[:5]}"
         )
-    try:
-        return Network(n_q=n_q, n_s=n_s, states=states, symbols=symbols, h=h,
-                       units=units, weights=wired)
-    except OverflowError as exc:  # the float64 edge table
-        raise NetworkFormatError(f"a weight exceeds the float64 range: {exc}") from exc
-
-
-# Imported last: the certificate module builds on the definitions above.
-from .sparse import certify  # noqa: E402
+    return net

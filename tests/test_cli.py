@@ -19,7 +19,8 @@ from tm2net.cli import (
     parse_word,
     run_level,
 )
-from tm2net.machine import parse_machine
+from tm2net.encode import encode_config
+from tm2net.machine import initial_config, parse_machine, run_tm
 from tm2net.nda import Branch, Nda, build_nda
 
 from util import random_input, random_machine
@@ -198,6 +199,17 @@ def test_compare_detects_corrupted_branch(flip):
     assert want != got
 
 
+def test_compare_reports_a_gs_mismatch_with_both_points(flip, monkeypatch):
+    # a shift that never moves: gs and tm part at step 1
+    monkeypatch.setattr(cli.gshift, "gs_step", lambda g, c: c)
+    c0 = initial_config(flip, ("0", "1"))
+    result = compare_levels(flip, ("0", "1"), 50)
+    assert not result.ok
+    assert result.mismatch == (1, "tm", "gs",
+                               encode_config(flip, run_tm(flip, c0, 1).final),
+                               encode_config(flip, c0))
+
+
 def test_compare_cli_exit_3_on_corruption(flip_path, monkeypatch, capsys):
     import tm2net.cli as cli_mod
 
@@ -224,6 +236,8 @@ def test_info_output(flip_path, capsys):
     out = capsys.readouterr().out
     assert "cells: 18, MCL: 2, BSL: 9, LTL: 36, bias: 1, total: 48" in out
     assert "h: 7/1" in out
+    assert ("weights: 250 edges; values 1 and +-h/2, 3 distinct scale weights, "
+            "8 distinct bias offsets, 6 distinct thresholds") in out
 
 
 def test_info_stub74(stub74_path, capsys):

@@ -158,10 +158,11 @@ def test_rat_str_and_parse():
     assert rat_str(0) == "0/1"
     assert parse_rat("5/9") == Fraction(5, 9)
     assert parse_rat(rat_str(Fraction(-3, 4))) == Fraction(-3, 4)
-    with pytest.raises(EncodingError):
-        parse_rat("x/y")
-    with pytest.raises(EncodingError):
-        parse_rat("1/0")
+    # only the num/den form rat_str writes: no exponents, decimals or zero
+    # denominators
+    for text in ("x/y", "1/0", "1e1000000", "1.5"):
+        with pytest.raises(EncodingError):
+            parse_rat(text)
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 7), Fraction(5, 63), Fraction(5, 7 * 3 ** 3000)],

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tm2net import network
 from tm2net.encode import Point, encode_config, rat_str
@@ -230,6 +230,13 @@ def in_unit_square(state):
 
 
 @settings(max_examples=40, deadline=None)
+# random_machine(Random(0)) has a 12 x 3 grid: MCLs on its grid lines and at
+# x = 1 or y = 1, where the corner is the axis' last cell
+@example(random.Random(0), Fraction(5, 12), Fraction(1, 3))
+@example(random.Random(0), Fraction(0), Fraction(2, 3))
+@example(random.Random(0), Fraction(1), Fraction(1, 3))
+@example(random.Random(0), Fraction(7, 12), Fraction(1))
+@example(random.Random(0), Fraction(1), Fraction(1))
 @given(st.randoms(use_true_random=False),
        st.fractions(min_value=0, max_value=1, max_denominator=60),
        st.fractions(min_value=0, max_value=1, max_denominator=60))
@@ -239,18 +246,13 @@ def test_sparse_step_matches_dense_sweep(rng, x, y):
     s = initial_state(net, encode_config(m, initial_config(m, random_input(rng, m))))
     for _ in range(12):
         s = assert_sparse_matches_dense(net, s)
-    # off the encoded configurations the step stays certified while the MCL
+    # off the encoded configurations the step stays equal while the MCL
     # stays in the unit square
     s = initial_state(net, Point(x, y))
     for _ in range(4):
         if not in_unit_square(s):
             break
         s = assert_sparse_matches_dense(net, s)
-
-
-def with_weight(net, edge, value):
-    """A directly constructed copy of ``net`` with one weight replaced."""
-    return dataclasses.replace(net, weights={**net.weights, edge: value})
 
 
 def tight_ltl_unit(net):
@@ -262,40 +264,32 @@ def tight_ltl_unit(net):
     return next(t for t in net._ltl_ids if a_plus_lambda(t) == net.h / 2)
 
 
-@pytest.mark.parametrize("tamper", ["raised_ltl_bias", "first_threshold_above_0",
-                                    "thresholds_out_of_order"])
-def test_certificate_rejects_tampered_network(flip_net, tamper):
-    bias, t = flip_net.bias_id, tight_ltl_unit(flip_net)
-    b1, b2 = flip_net.bsl_x_id(1), flip_net.bsl_x_id(2)
-    edits = {
-        # any raise lets the tight unit fire away from its staircase corner
-        "raised_ltl_bias": ((bias, t), flip_net.weight(bias, t) + Fraction(1, 10**9)),
-        # an MCL below the first threshold would leave no corner cell
-        "first_threshold_above_0": ((bias, flip_net.bsl_x_id(0)), Fraction(-1, 100)),
-        "thresholds_out_of_order": ((bias, b1), flip_net.weight(bias, b2) - Fraction(1, 100)),
-    }
-    net = with_weight(flip_net, *edits[tamper])
-    with pytest.raises(NetworkFormatError, match="certificate"):
-        net_step(net, initial_state(net, Point(Fraction(1, 2), Fraction(1, 2))))
+def with_offset(net, t, delta):
+    """A directly constructed copy of ``net`` with LTL unit t's a moved by delta."""
+    i, j = net.units[t].cell
+    axis = 0 if net.units[t].kind == LTL_X else 1
+    params = [list(cell) for cell in net.branch_params]
+    lam, a = params[i * net.n_s + j][axis]
+    params[i * net.n_s + j][axis] = (lam, a + delta)
+    return dataclasses.replace(net, branch_params=tuple(map(tuple, params)))
 
 
-def test_certificate_rejects_non_canonical_units(flip_net):
-    units = list(flip_net.units)
-    b = flip_net.bsl_x_id(0)
-    units[b] = dataclasses.replace(units[b], kind=LTL_X)  # swept as an LTL unit
-    net = dataclasses.replace(flip_net, units=tuple(units))
-    with pytest.raises(NetworkFormatError, match="canonical layout"):
-        net_step(net, initial_state(net, Point(Fraction(1, 2), Fraction(1, 2))))
+def test_constructor_rejects_a_plus_lambda_above_half_h(flip_net):
+    # any raise would let the tight unit fire away from its staircase corner
+    with pytest.raises(NetworkFormatError, match=r"0 < lambda and a \+ lambda <= h/2"):
+        with_offset(flip_net, tight_ltl_unit(flip_net), Fraction(1, 10**9))
 
 
 def test_certified_step_follows_the_weights(flip_net):
-    # a lowered LTL bias stays certified; at its own corner the unit is now
+    # a lowered offset keeps the bounds; at its own corner the unit is now
     # clipped to 0 by the ramp
-    bias, t = flip_net.bias_id, tight_ltl_unit(flip_net)
-    net = with_weight(flip_net, (bias, t), flip_net.weight(bias, t) - flip_net.h)
+    t = tight_ltl_unit(flip_net)
+    net = with_offset(flip_net, t, -flip_net.h)
     i, j = flip_net.units[t].cell
     s = initial_state(net, Point(Fraction(i, net.n_x_cells), Fraction(j, net.n_y_cells)))
-    for _ in range(4):
+    s = assert_sparse_matches_dense(net, s)
+    assert s.values[t] == 0
+    for _ in range(3):
         if not in_unit_square(s):
             break
         s = assert_sparse_matches_dense(net, s)
@@ -308,12 +302,25 @@ def test_exact_step_rejects_mcl_outside_unit_square(flip_net, x, y):
         net_step(flip_net, initial_state(flip_net, Point(x, y)))
 
 
-def test_exact_run_and_rows_build_no_activation_vector(flip, flip_net):
+def test_exact_run_and_rows_build_no_activation_vector(flip):
+    net = build_network(build_nda(flip))
     c0 = initial_config(flip, "0110")
-    trace = run_network(flip_net, initial_state(flip_net, encode_config(flip, c0)), 50)
-    net_trace_rows(flip_net, trace)
+    trace = run_network(net, initial_state(net, encode_config(flip, c0)), 50)
+    net_trace_rows(net, trace)
     assert all(s._values is None for s in trace.states)
+    # nor the weight dict or the edge table
+    assert "weights" not in vars(net) and "_in_edges" not in vars(net)
     assert trace.states[1].values[0] == trace.states[1].mcl[0]
+
+
+def test_weights_beyond_float64_run_exactly_and_fail_in_float64(flip, flip_net):
+    net = dataclasses.replace(flip_net, h=Fraction(10**400))
+    pt = encode_config(flip, initial_config(flip, "01"))
+    exact = run_network(net, initial_state(net, pt), 50)
+    want = run_network(flip_net, initial_state(flip_net, pt), 50)
+    assert exact.halted and [s.mcl for s in exact.states] == [s.mcl for s in want.states]
+    with pytest.raises(NetworkFormatError, match="float64 range"):
+        net_step(net, initial_state(net, pt, "float64"))
 
 
 def test_export_round_trip(flip_net, stub74):
@@ -458,6 +465,14 @@ def test_import_checks_unit_count_before_building_the_layout(monkeypatch):
 def test_import_rejects_malformed_document():
     with pytest.raises(NetworkFormatError):
         import_network({"meta": {}})
+
+
+def test_import_rejects_h_outside_the_wire_format(flip_net):
+    # parsed as a Fraction this exponent alone would take seconds
+    doc = export_network(flip_net)
+    doc["meta"]["h"] = "1e4000000"
+    with pytest.raises(NetworkFormatError, match="malformed network document"):
+        import_network(doc)
 
 
 def test_trace_rows(flip, flip_net):
