@@ -54,14 +54,6 @@ class RunReport:
     final_float: tuple[float, float] | None = None
     divergence_step: int | None = None
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["final_alpha"] = list(self.final_alpha)
-        d["final_beta"] = list(self.final_beta)
-        if self.final_float is not None:
-            d["final_float"] = list(self.final_float)
-        return d
-
 
 def parse_word(m: TuringMachine, text: str) -> tuple[str, ...]:
     """Input word from the command line.
@@ -78,15 +70,26 @@ def parse_word(m: TuringMachine, text: str) -> tuple[str, ...]:
     return (text,)
 
 
-def _report_from_config(m, level, mode, trace_steps, halted, final_config,
-                        final_float=None, divergence_step=None) -> RunReport:
+def _report_from_config(m, level, final_config, steps, max_steps,
+                        float_trace=None, divergence_step=None) -> RunReport:
+    """An exact run has halted exactly when its decoded ``final_config`` is in
+    a halt state, and otherwise reports the whole budget: the network stops
+    at any fixed point, which outside a halt state repeats for the rest of
+    it.  A float64 run reports its own steps and fixed point."""
+    halted = final_config.state in m.halt_states
+    if not halted:
+        steps = max_steps
+    mode, final_float = "exact", None
+    if float_trace is not None:
+        mode, steps, halted = "float64", float_trace.steps, float_trace.halted
+        final_float = float_trace.final.mcl
     pt = encode_config(m, final_config)
     # the decoded configuration must re-encode to the reported point
     assert encode.decode_point(m, pt) == final_config
     return RunReport(
         level=level,
         mode=mode,
-        steps=trace_steps,
+        steps=steps,
         halted=halted,
         final_state=final_config.state,
         final_tape=tape_string(m, final_config),
@@ -117,8 +120,7 @@ def run_level(m: TuringMachine, word, level: str, max_steps: int,
             trace = run_tm(m, c0, max_steps)
         else:
             trace = gshift.run_gs(gshift.build_gshift(m), c0, max_steps)
-        report = _report_from_config(m, level, "exact", trace.steps,
-                                     trace.halted, trace.final)
+        report = _report_from_config(m, level, trace.final, trace.steps, max_steps)
         return report, (TM_TRACE_FIELDS, lambda: _config_rows(m, trace.configs))
 
     auto = nda.build_nda(m)
@@ -126,29 +128,21 @@ def run_level(m: TuringMachine, word, level: str, max_steps: int,
     if level == "nda":
         trace = nda.run_nda(auto, pt0, max_steps)
         final = encode.decode_point(m, trace.points[-1])
-        report = _report_from_config(m, level, "exact", trace.steps,
-                                     trace.halted, final)
+        report = _report_from_config(m, level, final, trace.steps, max_steps)
         return report, (nda.ORBIT_FIELDS, lambda: nda.orbit_rows(auto, trace.points))
 
     net = network.build_network(auto)
     exact_trace = network.run_network(net, network.initial_state(net, pt0), max_steps)
+    final = encode.decode_point(m, Point(*exact_trace.final.mcl))
     if mode == "exact":
-        x, y = exact_trace.final.mcl
-        final = encode.decode_point(m, Point(x, y))
-        report = _report_from_config(m, level, mode, exact_trace.steps,
-                                     exact_trace.halted, final)
+        report = _report_from_config(m, level, final, exact_trace.steps, max_steps)
         return report, (network.TRACE_FIELDS,
                         lambda: network.net_trace_rows(net, exact_trace))
 
     float_trace = network.run_network(
         net, network.initial_state(net, pt0, "float64"), max_steps)
-    divergence = first_divergence(exact_trace, float_trace)
-    x, y = exact_trace.final.mcl
-    final = encode.decode_point(m, Point(x, y))
-    fx, fy = float_trace.final.mcl
-    report = _report_from_config(
-        m, level, mode, float_trace.steps, float_trace.halted, final,
-        final_float=(fx, fy), divergence_step=divergence)
+    report = _report_from_config(m, level, final, exact_trace.steps, max_steps,
+                                 float_trace, first_divergence(exact_trace, float_trace))
     return report, (network.TRACE_FIELDS,
                     lambda: network.net_trace_rows(net, float_trace))
 
@@ -257,21 +251,21 @@ def cmd_compile(args) -> int:
         _write_text(args.out, gshift.dump_rules(gshift.build_gshift(m)))
     elif args.target == "nda":
         doc = nda.nda_to_json(nda.build_nda(m))
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+        _write_text(args.out, json.dumps(doc) + "\n")
     else:
         net = network.build_network(nda.build_nda(m))
         doc = network.export_network(net)
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+        _write_text(args.out, json.dumps(doc) + "\n")
         print(f"{net.n_units} units")
     return EXIT_OK
 
 
 def _print_report(report: RunReport, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(dataclasses.asdict(report), indent=2))
         return
     if fmt == "csv":
-        d = report.to_dict()
+        d = dataclasses.asdict(report)
         d["final_alpha"] = " ".join(report.final_alpha)
         d["final_beta"] = " ".join(report.final_beta)
         if report.final_float is not None:

@@ -62,12 +62,12 @@ def parse_rat(text: str) -> Fraction:
 
 def godel_value(digits: Iterable[int], base: int) -> Fraction:
     """Radix fraction of a digit sequence, most significant first."""
-    value = Fraction(0)
-    for d in reversed(list(digits)):
+    n = k = 0
+    for d in digits:
         if not 0 <= d < base:
             raise DigitRangeError(f"digit {d} out of range for base {base}")
-        value = (value + d) / base
-    return value
+        n, k = n * base + d, k + 1  # Horner's rule: one Fraction, not one per digit
+    return Fraction(n, base ** k)
 
 
 def _digits(value: Fraction, base: int) -> list[int]:

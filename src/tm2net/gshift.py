@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, NamedTuple
 
-from .machine import Config, Trace, TuringMachine, canonical_config
+from .machine import Config, Trace, TuringMachine, canonical_config, iterate
 
 DOT_LEFT = -1
 DOT_STAY = 0
@@ -84,17 +84,9 @@ def gs_step(g: GeneralizedShift, c: Config) -> Config:
 
 def run_gs(g: GeneralizedShift, c0: Config, max_steps: int) -> Trace:
     """Iterate ``gs_step`` until a halt state is entered or ``max_steps``."""
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    m = g.machine
-    configs = [c0]
-    cur = c0
-    for _ in range(max_steps):
-        if cur.state in m.halt_states:
-            break
-        cur = gs_step(g, cur)
-        configs.append(cur)
-    return Trace(tuple(configs), halted=configs[-1].state in m.halt_states)
+    halts = g.machine.halt_states
+    return Trace(*iterate(lambda c: None if c.state in halts else gs_step(g, c),
+                          c0, max_steps))
 
 
 def dump_rules(g: GeneralizedShift) -> str:

@@ -11,9 +11,10 @@ configurations is decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Literal, Mapping, Sequence, TypeVar
 
 Move = Literal["L", "R"]
+S = TypeVar("S")
 
 MOVES = ("L", "R")
 
@@ -143,9 +144,6 @@ class TuringMachine:
         """Enumeration of a tape symbol; the blank always maps to 0."""
         return self._symbol_index[s]
 
-    def is_halt(self, q: str) -> bool:
-        return q in self.halt_states
-
 
 @dataclass(frozen=True)
 class Config:
@@ -217,18 +215,30 @@ class Trace:
         return self.configs[-1]
 
 
-def run_tm(m: TuringMachine, c0: Config, max_steps: int) -> Trace:
-    """Iterate ``tm_step`` until a halt state is entered or ``max_steps``."""
+def iterate(successor: Callable[[S], S | None], s0: S,
+            max_steps: int) -> tuple[tuple[S, ...], bool]:
+    """The run loop of every level: ``(s0 and its successors, halted)``.
+
+    ``successor`` returns a state's next state, or None when the state
+    halts; the last state's verdict comes from the call that would step it.
+    """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    configs = [c0]
-    cur = c0
+    states = [s0]
+    nxt = successor(s0)
     for _ in range(max_steps):
-        if cur.state in m.halt_states:
+        if nxt is None:
             break
-        cur = tm_step(m, cur)
-        configs.append(cur)
-    return Trace(tuple(configs), halted=configs[-1].state in m.halt_states)
+        states.append(nxt)
+        nxt = successor(nxt)
+    return tuple(states), nxt is None
+
+
+def run_tm(m: TuringMachine, c0: Config, max_steps: int) -> Trace:
+    """Iterate ``tm_step`` until a halt state is entered or ``max_steps``."""
+    halts = m.halt_states
+    return Trace(*iterate(lambda c: None if c.state in halts else tm_step(m, c),
+                          c0, max_steps))
 
 
 def tape_string(m: TuringMachine, c: Config) -> str:

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .encode import Point, rat_str
 from .gshift import Triple
-from .machine import TuringMachine
+from .machine import TuringMachine, iterate
 
 CELL_ORDER_NOTE = (
     "x cells ordered by (state index, left-symbol index), "
@@ -93,14 +93,8 @@ class Branch:
     triple: Triple
     action: tuple[str, str, str] | None
 
-    def apply_x(self, x: Fraction) -> Fraction:
-        return self.a_x + self.lambda_x * x
-
-    def apply_y(self, y: Fraction) -> Fraction:
-        return self.a_y + self.lambda_y * y
-
     def apply(self, pt: Point) -> Point:
-        return Point(self.apply_x(pt.x), self.apply_y(pt.y))
+        return Point(self.a_x + self.lambda_x * pt.x, self.a_y + self.lambda_y * pt.y)
 
     @property
     def is_identity(self) -> bool:
@@ -180,18 +174,14 @@ class NdaTrace:
 
 def run_nda(nda: Nda, pt0: Point, max_steps: int) -> NdaTrace:
     """Iterate the flow; stops when the current cell belongs to a halt state."""
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
     p = nda.partition
-    points = [pt0]
-    # a cell's action is None exactly when its state halts
-    br = nda.branches[cell_of_point(p, pt0)]
-    for _ in range(max_steps):
-        if br.action is None:
-            break
-        points.append(br.apply(points[-1]))
-        br = nda.branches[cell_of_point(p, points[-1])]
-    return NdaTrace(tuple(points), halted=br.action is None)
+
+    def successor(pt: Point) -> Point | None:
+        # a cell's action is None exactly when its state halts
+        br = nda.branches[cell_of_point(p, pt)]
+        return None if br.action is None else br.apply(pt)
+
+    return NdaTrace(*iterate(successor, pt0, max_steps))
 
 
 def nda_to_json(nda: Nda) -> dict:

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .encode import Point, parse_rat, rat_str
+from .machine import iterate
 from .nda import Nda, grid_bounds
 
 HALT_ATOL = 1e-9  # float-mode fixed-point tolerance per coordinate
@@ -368,15 +369,20 @@ def _sparse_step(net: Network, state: NetState) -> NetState:
                     (i, j), net)
 
 
-def _mcl_fixed(net: Network, a: NetState, b: NetState) -> bool:
-    if a.mode == "exact":
-        return a.mcl == b.mcl
-    return all(abs(p - q) <= HALT_ATOL for p, q in zip(a.mcl, b.mcl))
+def _successor(net: Network, state: NetState) -> NetState | None:
+    """``net_step``, or None where it leaves the MCL fixed (the network's
+    halt): equal in exact mode, within ``HALT_ATOL`` per coordinate in float64."""
+    nxt = net_step(net, state)
+    if state.mode == "exact":
+        fixed = nxt.mcl == state.mcl
+    else:
+        fixed = all(abs(p - q) <= HALT_ATOL for p, q in zip(state.mcl, nxt.mcl))
+    return None if fixed else nxt
 
 
 def is_halted(net: Network, state: NetState) -> bool:
     """Fixed-point halting: one more iteration leaves the MCL unchanged."""
-    return _mcl_fixed(net, state, net_step(net, state))
+    return _successor(net, state) is None
 
 
 def bsl_pattern(net: Network, state: NetState) -> tuple[int, ...]:
@@ -415,21 +421,7 @@ class NetTrace:
 
 def run_network(net: Network, s0: NetState, max_steps: int) -> NetTrace:
     """Iterate until the MCL reaches a fixed point or ``max_steps``."""
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    states = [s0]
-    cur = s0
-    halted = False
-    for _ in range(max_steps):
-        nxt = net_step(net, cur)
-        if _mcl_fixed(net, cur, nxt):
-            halted = True
-            break
-        states.append(nxt)
-        cur = nxt
-    else:
-        halted = _mcl_fixed(net, cur, net_step(net, cur))
-    return NetTrace(tuple(states), halted)
+    return NetTrace(*iterate(lambda s: _successor(net, s), s0, max_steps))
 
 
 TRACE_FIELDS = ("step", "c_x", "c_y", "active_cell_i", "active_cell_j", "halted")

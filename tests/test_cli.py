@@ -94,6 +94,47 @@ def test_run_net_matches_tm(flip_path, capsys):
     assert "steps: 3" in out and "final tape: '10'" in out
 
 
+LOOP_TEXT = """\
+states: q h
+symbols: _ 1
+input: 1
+start: q
+halt: h
+delta: q _ -> q _ R
+delta: q 1 -> q _ R
+"""
+
+
+def test_fixed_point_outside_a_halt_state_times_out_at_every_level(tmp_path, capsys):
+    # the configuration stops changing after one step, in the non-halt
+    # state q: the network sits at a fixed point, which is not a halt
+    path = tmp_path / "loop.tm"
+    path.write_text(LOOP_TEXT)
+    reports = {}
+    for level in cli.LEVELS:
+        assert main(["run", str(path), "1", "--level", level, "--max-steps", "10",
+                     "--format", "json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        reports[level] = (doc["steps"], doc["halted"], doc["final_tape"],
+                          doc["final_x"], doc["final_y"])
+    assert set(reports.values()) == {(10, False, "", "0/1", "0/1")}
+    assert main(["compare", str(path), "1", "--max-steps", "10"]) == EXIT_OK
+    assert "all levels agree over 10 steps (timeout)" in capsys.readouterr().out
+
+
+# on "11" the float64 run stops 33 steps after the exact one
+@pytest.mark.parametrize("word", ["01010101", "11"])
+def test_run_float64_reports_the_float_run(flip, flip_path, capsys, word):
+    assert main(["run", str(flip_path), word, "--level", "net",
+                 "--mode", "float64", "--format", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    net = network.build_network(build_nda(flip))
+    pt = encode_config(flip, initial_config(flip, word))
+    trace = network.run_network(net, network.initial_state(net, pt, "float64"), 1000)
+    assert (doc["steps"], doc["halted"]) == (trace.steps, trace.halted)
+    assert list(doc["final_float"]) == list(trace.final.mcl)
+
+
 def test_run_float64_reports_divergence(flip_path, capsys):
     assert main(["run", str(flip_path), "01010101", "--level", "net",
                  "--mode", "float64", "--max-steps", "50"]) == EXIT_OK

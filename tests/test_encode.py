@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tm2net.encode import (
     DigitRangeError,
@@ -66,6 +66,15 @@ def test_godel_value_basics():
     assert godel_value([1, 2], 3) == Fraction(5, 9)
     with pytest.raises(DigitRangeError):
         godel_value([3], 3)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda b: st.tuples(st.lists(st.integers(0, b - 1), max_size=300), st.just(b))))
+def test_godel_value_is_the_radix_sum(case):
+    digits, base = case
+    want = sum((Fraction(d, base ** (i + 1)) for i, d in enumerate(digits)), Fraction(0))
+    assert godel_value(digits, base) == want
 
 
 def test_interior_blanks_survive_round_trip(flip):

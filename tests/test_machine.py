@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from tm2net.encode import encode_config
+from tm2net.gshift import build_gshift, run_gs
 from tm2net.machine import (
     Config,
     HaltedConfigError,
@@ -17,6 +19,8 @@ from tm2net.machine import (
     tape_string,
     tm_step,
 )
+from tm2net.nda import build_nda, run_nda
+from tm2net.network import build_network, initial_state, run_network
 
 from util import random_config, random_machine
 
@@ -155,6 +159,43 @@ def test_run_tm_immediate_halt():
     trace = run_tm(m, initial_config(m, ""), 5)
     assert trace.configs == (Config(("qH",), ()),)
     assert trace.halted
+
+
+IMMEDIATE_HALT_TEXT = "states: qH\nsymbols: _ 0\ninput: 0\nstart: qH\nhalt: qH\n"
+
+
+def _run_at(level, m, c0, max_steps):
+    """(history, halted, start state) of the level's ``run_*`` from ``c0``."""
+    if level == "tm":
+        t = run_tm(m, c0, max_steps)
+        return t.configs, t.halted, c0
+    if level == "gs":
+        t = run_gs(build_gshift(m), c0, max_steps)
+        return t.configs, t.halted, c0
+    auto, pt0 = build_nda(m), encode_config(m, c0)
+    if level == "nda":
+        t = run_nda(auto, pt0, max_steps)
+        return t.points, t.halted, pt0
+    net = build_network(auto)
+    s0 = initial_state(net, pt0)
+    t = run_network(net, s0, max_steps)
+    return t.states, t.halted, s0
+
+
+@pytest.mark.parametrize("level", ["tm", "gs", "nda", "net"])
+def test_every_level_runs_the_same_loop(flip, level):
+    c0 = initial_config(flip, "01")
+    with pytest.raises(ValueError, match="max_steps"):
+        _run_at(level, flip, c0, -1)
+    # no steps: only the start state, halted exactly when it halts
+    history, halted, start = _run_at(level, flip, c0, 0)
+    assert history == (start,) and not halted
+    m = parse_machine(IMMEDIATE_HALT_TEXT)
+    history, halted, start = _run_at(level, m, initial_config(m, ""), 0)
+    assert history == (start,) and halted
+    # flip halts on its third step, so a budget of exactly 3 suffices
+    history, halted, _ = _run_at(level, flip, c0, 3)
+    assert len(history) == 4 and halted
 
 
 def test_initial_config(flip):
