@@ -1,6 +1,8 @@
 """tm2net: Turing machines compiled to shifts, unit-square affine maps,
 and first-order threshold/ramp networks, cross-checked exactly at every level."""
 
+import types
+
 from .encode import (
     Point,
     Rational,
@@ -40,48 +42,6 @@ from .network import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Branch",
-    "Config",
-    "GeneralizedShift",
-    "Nda",
-    "NetState",
-    "Network",
-    "Partition",
-    "Point",
-    "Rational",
-    "Triple",
-    "TuringMachine",
-    "build_gshift",
-    "build_nda",
-    "build_network",
-    "build_partition",
-    "cell_of_point",
-    "decode_left",
-    "decode_point",
-    "decode_right",
-    "derive_branch",
-    "dump_rules",
-    "encode_config",
-    "encode_left",
-    "encode_right",
-    "export_network",
-    "gs_step",
-    "import_network",
-    "initial_config",
-    "initial_state",
-    "is_halted",
-    "machine_to_text",
-    "nda_step",
-    "net_step",
-    "parse_machine",
-    "parse_rat",
-    "rat_str",
-    "run_gs",
-    "run_nda",
-    "run_network",
-    "run_tm",
-    "tape_string",
-    "tm_step",
-    "unit_count",
-]
+# the public names are the ones imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -21,20 +21,17 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from . import encode, gshift, machine, nda, network
 from .encode import EncodingError, Point, encode_config, rat_str
-from .machine import MachineError, TuringMachine, initial_config, run_tm, tape_string
+from .machine import MachineError, Run, TuringMachine, initial_config, tape_string
 from .network import NetworkFormatError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IO = 2
 EXIT_MISMATCH = 3
-
-LEVELS = ("tm", "gs", "nda", "net")
-
-TM_TRACE_FIELDS = ("step", "state", "tape", "x", "y")
 
 
 @dataclass
@@ -70,81 +67,92 @@ def parse_word(m: TuringMachine, text: str) -> tuple[str, ...]:
     return (text,)
 
 
-def _report_from_config(m, level, final_config, steps, max_steps,
-                        float_trace=None, divergence_step=None) -> RunReport:
+def _report_from_config(m, level, final_config, steps, max_steps) -> RunReport:
     """An exact run has halted exactly when its decoded ``final_config`` is in
     a halt state, and otherwise reports the whole budget: the network stops
     at any fixed point, which outside a halt state repeats for the rest of
-    it.  A float64 run reports its own steps and fixed point."""
+    it."""
     halted = final_config.state in m.halt_states
-    if not halted:
-        steps = max_steps
-    mode, final_float = "exact", None
-    if float_trace is not None:
-        mode, steps, halted = "float64", float_trace.steps, float_trace.halted
-        final_float = float_trace.final.mcl
     pt = encode_config(m, final_config)
     # the decoded configuration must re-encode to the reported point
     assert encode.decode_point(m, pt) == final_config
-    return RunReport(
-        level=level,
-        mode=mode,
-        steps=steps,
-        halted=halted,
-        final_state=final_config.state,
-        final_tape=tape_string(m, final_config),
-        final_alpha=final_config.alpha,
-        final_beta=final_config.beta,
-        final_x=rat_str(pt.x),
-        final_y=rat_str(pt.y),
-        final_float=final_float,
-        divergence_step=divergence_step,
-    )
+    return RunReport(level, "exact", steps if halted else max_steps, halted,
+                     final_config.state, tape_string(m, final_config),
+                     final_config.alpha, final_config.beta, rat_str(pt.x), rat_str(pt.y))
+
+
+# Each level as an exact run drives it, built from the machine: (start, the
+# initial configuration to the first state; successor; to_config, a state
+# decoded; rows(states, halted), the ``--trace`` CSV rows).
+def _config_level(m: TuringMachine, successor) -> tuple:
+    return (lambda c: c), successor, (lambda c: c), (
+        lambda configs, halted: _config_rows(m, configs))
+
+
+def _nda_level(m: TuringMachine) -> tuple:
+    auto = nda.build_nda(m)
+    return (partial(encode_config, m), partial(nda.nda_successor, auto),
+            partial(encode.decode_point, m),
+            lambda points, halted: nda.orbit_rows(auto, points))
+
+
+def _net_level(m: TuringMachine) -> tuple:
+    net = network.build_network(nda.build_nda(m))
+    return (lambda c: network.initial_state(net, encode_config(m, c)),
+            partial(network.net_successor, net),
+            lambda s: encode.decode_point(m, Point(*s.mcl)),
+            lambda states, halted: network.net_trace_rows(
+                net, network.NetTrace(states, halted)))
+
+
+LEVELS = {
+    "tm": lambda m: _config_level(m, partial(machine.tm_successor, m)),
+    "gs": lambda m: _config_level(m, partial(gshift.gs_successor, gshift.build_gshift(m))),
+    "nda": _nda_level,
+    "net": _net_level,
+}
 
 
 def run_level(m: TuringMachine, word, level: str, max_steps: int,
               mode: str = "exact"):
-    """Run one pipeline level; returns (RunReport, (CSV fields, rows)).
-
-    ``rows`` is a function that builds the per-step CSV rows, so a run
-    without a trace file never pays for them.
-    """
+    """Run one pipeline level; returns (RunReport, rows).  An exact run keeps
+    only its current state; ``rows`` is a function that replays the run to
+    build the per-step CSV rows, so a run without a trace file never pays
+    for them or keeps its history."""
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     if mode == "float64" and level != "net":
         raise ValueError("float64 mode exists only at level net")
     c0 = initial_config(m, word)
 
-    if level in ("tm", "gs"):
-        if level == "tm":
-            trace = run_tm(m, c0, max_steps)
-        else:
-            trace = gshift.run_gs(gshift.build_gshift(m), c0, max_steps)
-        report = _report_from_config(m, level, trace.final, trace.steps, max_steps)
-        return report, (TM_TRACE_FIELDS, lambda: _config_rows(m, trace.configs))
+    if mode == "float64":
+        net = network.build_network(nda.build_nda(m))
+        pt0 = encode_config(m, c0)
+        exact_trace = network.run_network(net, network.initial_state(net, pt0), max_steps)
+        float_trace = network.run_network(
+            net, network.initial_state(net, pt0, "float64"), max_steps)
+        final = encode.decode_point(m, Point(*exact_trace.final.mcl))
+        # a float64 run reports its own steps and fixed point
+        report = dataclasses.replace(
+            _report_from_config(m, level, final, exact_trace.steps, max_steps),
+            mode="float64", steps=float_trace.steps, halted=float_trace.halted,
+            final_float=float_trace.final.mcl,
+            divergence_step=first_divergence(exact_trace, float_trace))
+        return report, lambda: network.net_trace_rows(net, float_trace)
 
-    auto = nda.build_nda(m)
-    pt0 = encode_config(m, c0)
-    if level == "nda":
-        trace = nda.run_nda(auto, pt0, max_steps)
-        final = encode.decode_point(m, trace.points[-1])
-        report = _report_from_config(m, level, final, trace.steps, max_steps)
-        return report, (nda.ORBIT_FIELDS, lambda: nda.orbit_rows(auto, trace.points))
+    start, successor, to_config, level_rows = LEVELS[level](m)
+    run = Run(successor, start(c0), max_steps)
+    for _ in run:
+        pass
+    report = _report_from_config(m, level, to_config(run.final), run.steps, max_steps)
 
-    net = network.build_network(auto)
-    exact_trace = network.run_network(net, network.initial_state(net, pt0), max_steps)
-    final = encode.decode_point(m, Point(*exact_trace.final.mcl))
-    if mode == "exact":
-        report = _report_from_config(m, level, final, exact_trace.steps, max_steps)
-        return report, (network.TRACE_FIELDS,
-                        lambda: network.net_trace_rows(net, exact_trace))
+    def rows():
+        states = tuple(run)
+        # a fixed point outside a halt state repeats for the rest of the budget
+        states += states[-1:] * (report.steps + 1 - len(states))
+        return level_rows(states, report.halted)
 
-    float_trace = network.run_network(
-        net, network.initial_state(net, pt0, "float64"), max_steps)
-    report = _report_from_config(m, level, final, exact_trace.steps, max_steps,
-                                 float_trace, first_divergence(exact_trace, float_trace))
-    return report, (network.TRACE_FIELDS,
-                    lambda: network.net_trace_rows(net, float_trace))
+    return report, rows
 
 
 def _config_rows(m: TuringMachine, configs) -> list[dict]:
@@ -183,37 +191,47 @@ class CompareResult:
 def compare_levels(m: TuringMachine, word, max_steps: int,
                    auto: nda.Nda | None = None,
                    net: network.Network | None = None) -> CompareResult:
-    """Run all four levels in lockstep (exact mode) and compare every step:
-    gs with tm on configurations, nda and net with tm on encoded points.
-
-    ``auto``/``net`` exist as injection points so tests can feed corrupted
-    systems and observe the divergence step.
+    """Run all four levels in lockstep (exact mode), keeping one state each,
+    and compare every step: gs with tm on configurations, nda and net with
+    tm's point, which follows tm's transitions (``encode.successor_point``)
+    and must be the encoding of tm's last configuration.  If a check fails,
+    a replay that encodes tm's every configuration names the first divergent
+    step.  ``auto``/``net`` let tests inject corrupted systems.
     """
-    c0 = initial_config(m, word)
-    tm_trace = run_tm(m, c0, max_steps)
-    steps = tm_trace.steps
-    gs = gshift.build_gshift(m)
+    tm_run = Run(partial(machine.tm_successor, m), initial_config(m, word), max_steps)
     auto = auto if auto is not None else nda.build_nda(m)
-    net = net if net is not None else network.build_network(auto)
+    systems = (m, tm_run, gshift.build_gshift(m), auto,
+               net if net is not None else network.build_network(auto))
+    mismatch, point = _lockstep(*systems,
+                                lambda prev, pt, c: encode.successor_point(m, prev, pt))
+    if mismatch is None and encode_config(m, tm_run.final) == point:
+        return CompareResult(True, tm_run.steps, tm_run.halted)
+    mismatch, _ = _lockstep(*systems, lambda prev, pt, c: encode_config(m, c))
+    for _ in tm_run:  # the whole tm run gives the steps and the verdict
+        pass
+    return CompareResult(mismatch is None, tm_run.steps, tm_run.halted, mismatch)
 
-    gs_c = c0
-    pt = encode_config(m, c0)
+
+def _lockstep(m, tm_run, gs, auto, net, reference):
+    """Step gs, nda and net beside ``tm_run`` and compare every step, with
+    ``reference(prev, pt, c)`` as tm's point at configuration ``c`` after
+    ``prev`` at ``pt``; returns the first mismatch or None, and that point."""
+    gs_c = tm_run.s0
+    pt = point = encode_config(m, gs_c)
     state = network.initial_state(net, pt)
-    for t in range(steps + 1):
-        tm_c = tm_trace.configs[t]
-        reference = encode_config(m, tm_c)
-        if gs_c != tm_c:  # both canonical, so equal exactly when their points are
-            return CompareResult(False, steps, tm_trace.halted,
-                                 (t, "tm", "gs", reference, encode_config(m, gs_c)))
-        for level, got in (("nda", pt), ("net", Point(*state.mcl))):
-            if got != reference:
-                return CompareResult(False, steps, tm_trace.halted,
-                                     (t, "tm", level, reference, got))
-        if t < steps:
+    for t, tm_c in enumerate(tm_run):
+        if t:
+            point = reference(prev, point, tm_c)
             gs_c = gshift.gs_step(gs, gs_c)
             pt = nda.nda_step(auto, pt)
             state = network.net_step(net, state)
-    return CompareResult(True, steps, tm_trace.halted)
+        if gs_c != tm_c:  # both canonical, so equal exactly when their points are
+            return (t, "tm", "gs", encode_config(m, tm_c), encode_config(m, gs_c)), point
+        for level, got in (("nda", pt), ("net", Point(*state.mcl))):
+            if got != point:
+                return (t, "tm", level, point, got), point
+        prev = tm_c
+    return None, point
 
 
 def _load_machine(path: str) -> TuringMachine:
@@ -237,9 +255,10 @@ def _write_text(path: str, text: str) -> None:
         raise _IOFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path: str, fields, rows) -> None:
+def _write_csv(path: str, rows) -> None:
+    """Rows as CSV, under the keys of the first row (a run has at least one)."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     _write_text(path, buf.getvalue())
@@ -277,7 +296,9 @@ def _print_report(report: RunReport, fmt: str) -> None:
     print(f"level: {report.level}")
     print(f"mode: {report.mode}")
     print(f"steps: {report.steps}")
-    print(f"status: {'halted' if report.halted else 'timeout'}")
+    # a float run has diverged from the machine, so its stop is no halt
+    stop = "fixed point" if report.mode == "float64" else "halted"
+    print(f"status: {stop if report.halted else 'timeout'}")
     print(f"final state: {report.final_state}")
     print(f"final tape: {report.final_tape!r}")
     print(f"final point: x={report.final_x} y={report.final_y}")
@@ -294,10 +315,9 @@ def _print_report(report: RunReport, fmt: str) -> None:
 def cmd_run(args) -> int:
     m = _load_machine(args.machine)
     word = parse_word(m, args.word)
-    report, (fields, rows) = run_level(m, word, args.level, args.max_steps,
-                                       args.mode)
+    report, rows = run_level(m, word, args.level, args.max_steps, args.mode)
     if args.trace:
-        _write_csv(args.trace, fields, rows())
+        _write_csv(args.trace, rows())
     _print_report(report, args.format)
     return EXIT_OK
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple
 
+from .gshift import window
 from .machine import Config, TuringMachine
 
 Rational = Fraction
@@ -128,17 +129,40 @@ def decode_point(m: TuringMachine, pt: Point) -> Config:
     return Config(decode_left(m, pt.x), decode_right(m, pt.y))
 
 
+# Each map builds its result from integers, so it is reduced once.
+
 def affine_substitute(v: Fraction, position: int, old_digit: int,
                       new_digit: int, base: int) -> Fraction:
     """Godel value after replacing the digit at ``position`` (1-based)."""
-    return v + Fraction(new_digit - old_digit, base ** position)
+    scale = base ** position
+    return Fraction(v.numerator * scale + (new_digit - old_digit) * v.denominator,
+                    v.denominator * scale)
 
 
 def affine_shift_left(v: Fraction, first_digit: int, base: int) -> Fraction:
     """Godel value after dropping the leading digit (which must be given)."""
-    return v * base - first_digit
+    return Fraction(v.numerator * base - first_digit * v.denominator, v.denominator)
 
 
 def affine_shift_right(v: Fraction, new_digit: int, base: int) -> Fraction:
     """Godel value after prepending a digit."""
-    return (v + new_digit) / base
+    return Fraction(v.numerator + new_digit * v.denominator, v.denominator * base)
+
+
+def successor_point(m: TuringMachine, c: Config, pt: Point) -> Point:
+    """The point of ``c``'s successor, from ``pt``, the point of ``c``, by the
+    elementary digit maps along ``c``'s transition: no digit loop.  ``c``
+    must not halt."""
+    left, q, read = window(m, c)
+    q2, b, move = m.delta[(q, read)]
+    nq, ns = m.n_states, m.n_symbols
+    gq, gs = m.state_index, m.symbol_index
+    x = affine_shift_left(pt.x, gq(q), nq)  # drop the state digit
+    if move == "R":
+        x = affine_shift_right(x, gs(b), ns)  # push the written symbol
+        y = affine_shift_left(pt.y, gs(read), ns)  # consume the read symbol
+    else:
+        x = affine_shift_left(x, gs(left), ns)  # drop the left neighbour
+        y = affine_substitute(pt.y, 1, gs(read), gs(b), ns)  # overwrite under the head
+        y = affine_shift_right(y, gs(left), ns)  # the left neighbour slides right
+    return Point(affine_shift_right(x, gq(q2), nq), y)  # push the new state

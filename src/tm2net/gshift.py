@@ -10,6 +10,7 @@ states map to the identity, so halted configurations are fixed points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Mapping, NamedTuple
 
@@ -82,11 +83,14 @@ def gs_step(g: GeneralizedShift, c: Config) -> Config:
     return canonical_config(m, alpha, beta)
 
 
+def gs_successor(g: GeneralizedShift, c: Config) -> Config | None:
+    """``gs_step``, or None in a halt state."""
+    return None if c.state in g.machine.halt_states else gs_step(g, c)
+
+
 def run_gs(g: GeneralizedShift, c0: Config, max_steps: int) -> Trace:
     """Iterate ``gs_step`` until a halt state is entered or ``max_steps``."""
-    halts = g.machine.halt_states
-    return Trace(*iterate(lambda c: None if c.state in halts else gs_step(g, c),
-                          c0, max_steps))
+    return Trace(*iterate(partial(gs_successor, g), c0, max_steps))
 
 
 def dump_rules(g: GeneralizedShift) -> str:

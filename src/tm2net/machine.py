@@ -11,7 +11,8 @@ configurations is decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal, Mapping, Sequence, TypeVar
+from functools import partial
+from typing import Callable, Generic, Iterable, Iterator, Literal, Mapping, Sequence, TypeVar
 
 Move = Literal["L", "R"]
 S = TypeVar("S")
@@ -24,29 +25,40 @@ _SECTIONS = ("states", "symbols", "input", "start", "halt", "delta")
 class MachineError(ValueError):
     """Base class for machine description and execution errors."""
 
-
-class MachineSyntaxError(MachineError):
-    """Malformed machine-description text."""
-
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class MachineSyntaxError(MachineError):
+    """Malformed machine-description text."""
 
 
 class MachineValidationError(MachineError):
     """A well-formed description that violates a machine invariant."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
 
 class HaltedConfigError(MachineError):
     """Attempt to step a configuration whose state is a halt state."""
+
+
+def _check_transition(states, symbols, halts, q: str, s: str, q2: str, s2: str,
+                      move: str, line: int | None = None) -> None:
+    """The invariants of one transition ``(q, s) -> (q2, s2, move)``; the
+    parser passes the ``line`` it read the transition from."""
+    for name in (q, q2):
+        if name not in states:
+            raise MachineValidationError(f"undeclared state {name!r}", line)
+    for name in (s, s2):
+        if name not in symbols:
+            raise MachineValidationError(f"undeclared symbol {name!r}", line)
+    # the move is the one token whose spelling the format fixes
+    if move not in MOVES:
+        raise MachineSyntaxError(f"move must be L or R, got {move!r}", line)
+    if q in halts:
+        raise MachineValidationError(f"halt state {q!r} must not have transitions", line)
 
 
 @dataclass(frozen=True)
@@ -93,30 +105,12 @@ class TuringMachine:
                     "blank symbol cannot be part of the input alphabet"
                 )
         for (q, s), (q2, s2, move) in self.delta.items():
-            if q not in self.states or q2 not in self.states:
-                raise MachineValidationError(
-                    f"transition ({q}, {s}) references an undeclared state"
-                )
-            if s not in self.tape_symbols or s2 not in self.tape_symbols:
-                raise MachineValidationError(
-                    f"transition ({q}, {s}) references an undeclared symbol"
-                )
-            if q in self.halt_states:
-                raise MachineValidationError(
-                    f"halt state {q!r} must not have transitions"
-                )
-            if move not in MOVES:
-                raise MachineValidationError(
-                    f"transition ({q}, {s}) has illegal move {move!r}"
-                )
+            _check_transition(self.states, self.tape_symbols, self.halt_states,
+                              q, s, q2, s2, move)
         for q in self.states:
-            if q in self.halt_states:
-                continue
-            for s in self.tape_symbols:
+            for s in () if q in self.halt_states else self.tape_symbols:
                 if (q, s) not in self.delta:
-                    raise MachineValidationError(
-                        f"missing transition for ({q}, {s})"
-                    )
+                    raise MachineValidationError(f"missing transition for ({q}, {s})")
         object.__setattr__(
             self, "_state_index", {q: i for i, q in enumerate(self.states)}
         )
@@ -164,13 +158,13 @@ class Config:
 
 def canonical_config(m: TuringMachine, alpha: Sequence[str], beta: Sequence[str]) -> Config:
     """Build a configuration, stripping trailing explicit blanks."""
-    a = list(alpha)
-    b = list(beta)
-    while len(a) > 1 and a[-1] == m.blank:
-        a.pop()
-    while b and b[-1] == m.blank:
-        b.pop()
-    return Config(tuple(a), tuple(b))
+    a, b = tuple(alpha), tuple(beta)
+    i, j = len(a), len(b)
+    while i > 1 and a[i - 1] == m.blank:
+        i -= 1
+    while j and b[j - 1] == m.blank:
+        j -= 1
+    return Config(a[:i], b[:j])  # a whole-tuple slice is the tuple itself
 
 
 def initial_config(m: TuringMachine, word: Iterable[str]) -> Config:
@@ -215,30 +209,46 @@ class Trace:
         return self.configs[-1]
 
 
+class Run(Generic[S]):
+    """A level's run, streamed: iterating yields ``s0`` and its successors,
+    at most ``max_steps`` of them, holding only the current state.
+    ``successor`` returns a state's next state, or None when the state
+    halts.  An exhausted iteration sets ``steps``, ``final`` and ``halted``
+    (the verdict of the call that would step ``final``); iterating again
+    replays the run."""
+
+    def __init__(self, successor: Callable[[S], S | None], s0: S, max_steps: int):
+        if max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
+        self.successor, self.s0, self.max_steps = successor, s0, max_steps
+        self.steps = self.final = self.halted = None
+
+    def __iter__(self) -> Iterator[S]:
+        successor, s, steps = self.successor, self.s0, 0
+        while True:
+            yield s
+            nxt = successor(s)
+            if nxt is None or steps == self.max_steps:
+                self.steps, self.final, self.halted = steps, s, nxt is None
+                return
+            s, steps = nxt, steps + 1
+
+
 def iterate(successor: Callable[[S], S | None], s0: S,
             max_steps: int) -> tuple[tuple[S, ...], bool]:
-    """The run loop of every level: ``(s0 and its successors, halted)``.
+    """The run loop of every level, collected: ``(s0 and its successors, halted)``."""
+    run = Run(successor, s0, max_steps)
+    return tuple(run), run.halted
 
-    ``successor`` returns a state's next state, or None when the state
-    halts; the last state's verdict comes from the call that would step it.
-    """
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    states = [s0]
-    nxt = successor(s0)
-    for _ in range(max_steps):
-        if nxt is None:
-            break
-        states.append(nxt)
-        nxt = successor(nxt)
-    return tuple(states), nxt is None
+
+def tm_successor(m: TuringMachine, c: Config) -> Config | None:
+    """``tm_step``, or None in a halt state."""
+    return None if c.state in m.halt_states else tm_step(m, c)
 
 
 def run_tm(m: TuringMachine, c0: Config, max_steps: int) -> Trace:
     """Iterate ``tm_step`` until a halt state is entered or ``max_steps``."""
-    halts = m.halt_states
-    return Trace(*iterate(lambda c: None if c.state in halts else tm_step(m, c),
-                          c0, max_steps))
+    return Trace(*iterate(partial(tm_successor, m), c0, max_steps))
 
 
 def tape_string(m: TuringMachine, c: Config) -> str:
@@ -286,8 +296,6 @@ def parse_machine(text: str) -> TuringMachine:
         raise MachineSyntaxError("start section must name exactly one state", lineno)
     start = start_tokens[0]
     halts = frozenset(sections["halt"][1])
-    declared_states = set(states)
-    declared_symbols = set(symbols)
 
     delta: dict[tuple[str, str], tuple[str, str, Move]] = {}
     for lineno, tokens in delta_lines:
@@ -296,18 +304,7 @@ def parse_machine(text: str) -> TuringMachine:
                 "delta line must read 'q s -> q' s' L|R'", lineno
             )
         q, s, _, q2, s2, move = tokens
-        for name in (q, q2):
-            if name not in declared_states:
-                raise MachineValidationError(f"undeclared state {name!r}", lineno)
-        for name in (s, s2):
-            if name not in declared_symbols:
-                raise MachineValidationError(f"undeclared symbol {name!r}", lineno)
-        if move not in MOVES:
-            raise MachineSyntaxError(f"move must be L or R, got {move!r}", lineno)
-        if q in halts:
-            raise MachineValidationError(
-                f"halt state {q!r} must not have transitions", lineno
-            )
+        _check_transition(states, symbols, halts, q, s, q2, s2, move, lineno)
         if (q, s) in delta:
             raise MachineValidationError(f"duplicate transition for ({q}, {s})", lineno)
         delta[(q, s)] = (q2, s2, move)

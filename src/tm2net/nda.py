@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 from .encode import Point, rat_str
@@ -172,16 +173,16 @@ class NdaTrace:
         return len(self.points) - 1
 
 
+def nda_successor(nda: Nda, pt: Point) -> Point | None:
+    """The branch of the point's cell applied, or None in a halt cell (whose
+    branch has no action)."""
+    br = nda.branches[cell_of_point(nda.partition, pt)]
+    return None if br.action is None else br.apply(pt)
+
+
 def run_nda(nda: Nda, pt0: Point, max_steps: int) -> NdaTrace:
     """Iterate the flow; stops when the current cell belongs to a halt state."""
-    p = nda.partition
-
-    def successor(pt: Point) -> Point | None:
-        # a cell's action is None exactly when its state halts
-        br = nda.branches[cell_of_point(p, pt)]
-        return None if br.action is None else br.apply(pt)
-
-    return NdaTrace(*iterate(successor, pt0, max_steps))
+    return NdaTrace(*iterate(partial(nda_successor, nda), pt0, max_steps))
 
 
 def nda_to_json(nda: Nda) -> dict:
@@ -212,9 +213,6 @@ def nda_to_json(nda: Nda) -> dict:
         "y_bounds": [rat_str(v) for v in p.y_bounds],
         "cells": cells,
     }
-
-
-ORBIT_FIELDS = ("step", "x", "y", "cell_i", "cell_j")
 
 
 def orbit_rows(nda: Nda, points) -> list[dict]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .encode import Point, parse_rat, rat_str
 from .machine import iterate
@@ -369,7 +369,7 @@ def _sparse_step(net: Network, state: NetState) -> NetState:
                     (i, j), net)
 
 
-def _successor(net: Network, state: NetState) -> NetState | None:
+def net_successor(net: Network, state: NetState) -> NetState | None:
     """``net_step``, or None where it leaves the MCL fixed (the network's
     halt): equal in exact mode, within ``HALT_ATOL`` per coordinate in float64."""
     nxt = net_step(net, state)
@@ -382,7 +382,7 @@ def _successor(net: Network, state: NetState) -> NetState | None:
 
 def is_halted(net: Network, state: NetState) -> bool:
     """Fixed-point halting: one more iteration leaves the MCL unchanged."""
-    return _successor(net, state) is None
+    return net_successor(net, state) is None
 
 
 def bsl_pattern(net: Network, state: NetState) -> tuple[int, ...]:
@@ -421,10 +421,7 @@ class NetTrace:
 
 def run_network(net: Network, s0: NetState, max_steps: int) -> NetTrace:
     """Iterate until the MCL reaches a fixed point or ``max_steps``."""
-    return NetTrace(*iterate(lambda s: _successor(net, s), s0, max_steps))
-
-
-TRACE_FIELDS = ("step", "c_x", "c_y", "active_cell_i", "active_cell_j", "halted")
+    return NetTrace(*iterate(partial(net_successor, net), s0, max_steps))
 
 
 def net_trace_rows(net: Network, trace: NetTrace) -> list[dict]:

@@ -4,10 +4,12 @@ import importlib.util
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tm2net import cli, nda, network
+from tm2net import cli, encode, gshift, machine, nda, network
 from tm2net.cli import (
     EXIT_INPUT,
     EXIT_IO,
@@ -20,10 +22,10 @@ from tm2net.cli import (
     run_level,
 )
 from tm2net.encode import encode_config
-from tm2net.machine import initial_config, parse_machine, run_tm
+from tm2net.machine import Config, initial_config, parse_machine, run_tm
 from tm2net.nda import Branch, Nda, build_nda
 
-from util import random_input, random_machine
+from util import compare_per_step, random_input, random_machine
 
 
 def read_csv(path):
@@ -112,11 +114,16 @@ def test_fixed_point_outside_a_halt_state_times_out_at_every_level(tmp_path, cap
     path.write_text(LOOP_TEXT)
     reports = {}
     for level in cli.LEVELS:
+        trace = tmp_path / f"{level}.csv"
         assert main(["run", str(path), "1", "--level", level, "--max-steps", "10",
-                     "--format", "json"]) == EXIT_OK
+                     "--format", "json", "--trace", str(trace)]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         reports[level] = (doc["steps"], doc["halted"], doc["final_tape"],
                           doc["final_x"], doc["final_y"])
+        # one row per reported step; the fixed point repeats to fill them
+        rows = read_csv(trace)
+        assert [int(r["step"]) for r in rows] == list(range(11))
+        assert all(r.get("halted", "False") == "False" for r in rows)
     assert set(reports.values()) == {(10, False, "", "0/1", "0/1")}
     assert main(["compare", str(path), "1", "--max-steps", "10"]) == EXIT_OK
     assert "all levels agree over 10 steps (timeout)" in capsys.readouterr().out
@@ -133,6 +140,23 @@ def test_run_float64_reports_the_float_run(flip, flip_path, capsys, word):
     trace = network.run_network(net, network.initial_state(net, pt, "float64"), 1000)
     assert (doc["steps"], doc["halted"]) == (trace.steps, trace.halted)
     assert list(doc["final_float"]) == list(trace.final.mcl)
+
+
+def test_run_float64_names_a_fixed_point_not_a_halt(flip_path, tmp_path, capsys):
+    # the float run stops at a fixed point, which outside a halt state (and
+    # after a divergence anywhere) is no halt of the machine
+    path = tmp_path / "loop.tm"
+    path.write_text(LOOP_TEXT)
+    for machine_path, word, status in ((path, "1", "fixed point"),
+                                       (flip_path, "01", "fixed point"),
+                                       (flip_path, "0101", "timeout")):
+        argv = ["run", str(machine_path), word, "--level", "net", "--mode", "float64",
+                "--max-steps", "3"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"status: {status}\n" in out and "status: halted" not in out
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["halted"] == (status == "fixed point")
 
 
 def test_run_float64_reports_divergence(flip_path, capsys):
@@ -249,6 +273,114 @@ def test_compare_reports_a_gs_mismatch_with_both_points(flip, monkeypatch):
     assert result.mismatch == (1, "tm", "gs",
                                encode_config(flip, run_tm(flip, c0, 1).final),
                                encode_config(flip, c0))
+
+
+def test_compare_cli_rejects_a_negative_budget(flip_path, capsys):
+    assert main(["compare", str(flip_path), "01", "--max-steps", "-1"]) == EXIT_INPUT
+    assert "max_steps must be >= 0" in capsys.readouterr().err
+
+
+def _fault_in_tm_step(monkeypatch):
+    real = machine.tm_step
+
+    def tm_step(m, c):  # writes 1 wherever the left tape reaches two cells
+        out = real(m, c)
+        return out if len(out.alpha) != 3 else Config(out.alpha[:1] + ("1",) + out.alpha[2:],
+                                                      out.beta)
+    monkeypatch.setattr(machine, "tm_step", tm_step)
+
+
+def _fault_in_gs_step(monkeypatch):
+    real = gshift.gs_step
+
+    def gs_step(g, c):  # moves right without writing once the left tape has two cells
+        return real(g, c) if len(c.alpha) != 3 else Config(c.alpha[:1] + c.beta[:1]
+                                                           + c.alpha[1:], c.beta[1:])
+    monkeypatch.setattr(gshift, "gs_step", gs_step)
+
+
+def _fault_in_canonical_config(monkeypatch, forget_left=True):
+    real = machine.canonical_config
+
+    def canonical_config(m, alpha, beta):
+        # shared by tm and gs: forgets a cell the head never reads again, or
+        # rewrites one it reads two steps later
+        c = real(m, alpha, beta)
+        if forget_left:
+            return c if len(c.alpha) < 3 else Config(c.alpha[:2], c.beta)
+        if len(c.beta) != 4:
+            return c
+        return Config(c.alpha, c.beta[:2] + ({"0": "1"}.get(c.beta[2], "0"),) + c.beta[3:])
+    for module in (machine, gshift):
+        monkeypatch.setattr(module, "canonical_config", canonical_config)
+
+
+def _corrupt_nda(flip):
+    return {"auto": corrupt_branch(build_nda(flip), (2, 2))}
+
+
+def _corrupt_net(flip):
+    net = network.build_network(build_nda(flip))
+    params = list(net.branch_params)
+    (lam_x, a_x), y = params[2 * 3 + 2]  # cell (2, 2): q0 with 1 to the left, reading 1
+    params[2 * 3 + 2] = ((lam_x, a_x - Fraction(1, 36)), y)
+    return {"net": network.Network(net.n_q, net.n_s, net.states, net.symbols, net.h,
+                                   tuple(params))}
+
+
+@pytest.mark.parametrize("fault", ["tm_step", "gs_step", "canonical_config",
+                                   "canonical_config_read_later", "nda_branch",
+                                   "net_branch_params"])
+def test_compare_reports_the_mismatch_of_the_per_step_compare(flip, monkeypatch, fault):
+    inject = {}
+    if fault == "tm_step":
+        _fault_in_tm_step(monkeypatch)
+    elif fault == "gs_step":
+        _fault_in_gs_step(monkeypatch)
+    elif fault.startswith("canonical_config"):
+        _fault_in_canonical_config(monkeypatch, fault == "canonical_config")
+    elif fault == "nda_branch":
+        inject = _corrupt_nda(flip)
+    else:
+        inject = _corrupt_net(flip)
+    word = tuple("0110101")
+    want = compare_per_step(flip, word, 50, **inject)
+    assert not want.ok and want.mismatch[0] > 0
+    assert compare_levels(flip, word, 50, **inject) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_compare_equals_the_per_step_compare_on_random_branch_faults(seed):
+    rng = random.Random(seed)
+    m = random_machine(rng)
+    word = random_input(rng, m, 8)
+    auto = build_nda(m)
+    cell = rng.choice(sorted(auto.branches))
+    b = auto.branches[cell]
+    branches = dict(auto.branches)
+    branches[cell] = Branch(b.a_x, b.a_y + Fraction(rng.randint(1, 3), 7), b.lambda_x,
+                            b.lambda_y, b.triple, b.action)
+    bad = Nda(m, auto.partition, branches)
+    assert compare_levels(m, word, 30, auto=bad) == compare_per_step(m, word, 30, auto=bad)
+
+
+def test_a_passing_compare_encodes_a_constant_number_of_times(flip, monkeypatch):
+    calls = []
+    real = encode.encode_config
+
+    def counted(m, c):
+        calls.append(c)
+        return real(m, c)
+    for module in (cli, encode):
+        monkeypatch.setattr(module, "encode_config", counted)
+    counts = []
+    for n in (10, 200):
+        calls.clear()
+        result = compare_levels(flip, ("0", "1") * n, 10 * n)
+        assert result.ok and result.steps == 2 * n + 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
 
 
 def test_compare_cli_exit_3_on_corruption(flip_path, monkeypatch, capsys):

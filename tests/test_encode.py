@@ -21,10 +21,11 @@ from tm2net.encode import (
     godel_value,
     parse_rat,
     rat_str,
+    successor_point,
 )
-from tm2net.machine import tm_step
+from tm2net.machine import initial_config, run_tm, tm_step
 
-from util import random_config, random_machine
+from util import random_config, random_input, random_machine
 
 
 def test_encode_left_examples(flip):
@@ -189,3 +190,19 @@ def test_value_over_power_of_base_has_exactly_that_many_digits(flip, k):
     right = decode_right(flip, value)
     assert len(right) == k and right[-1] != flip.blank
     assert encode_right(flip, right) == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 60))
+def test_successor_point_keeps_the_encoding_of_every_configuration(seed, max_steps):
+    rng = random.Random(seed)
+    m = random_machine(rng)
+    # a run from the start, and one step from an arbitrary configuration
+    configs = run_tm(m, initial_config(m, random_input(rng, m, 12)), max_steps).configs
+    pt = encode_config(m, configs[0])
+    for prev, c in zip(configs, configs[1:]):
+        pt = successor_point(m, prev, pt)
+        assert pt == encode_config(m, c)
+    c = random_config(rng, m)
+    if c.state not in m.halt_states:
+        assert successor_point(m, c, encode_config(m, c)) == encode_config(m, tm_step(m, c))

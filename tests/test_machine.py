@@ -1,15 +1,18 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tm2net import cli
 from tm2net.encode import encode_config
 from tm2net.gshift import build_gshift, run_gs
 from tm2net.machine import (
     Config,
     HaltedConfigError,
+    MachineError,
     MachineSyntaxError,
     MachineValidationError,
+    Run,
     TuringMachine,
     canonical_config,
     initial_config,
@@ -22,7 +25,7 @@ from tm2net.machine import (
 from tm2net.nda import build_nda, run_nda
 from tm2net.network import build_network, initial_state, run_network
 
-from util import random_config, random_machine
+from util import random_config, random_input, random_machine
 
 FLIP_TEXT = """\
 states: q0 qH
@@ -99,6 +102,26 @@ def test_syntax_error_carries_line_number():
     text = FLIP_TEXT + "delta: q0 0 q0 1 R\n"
     with pytest.raises(MachineSyntaxError, match="line 9"):
         parse_machine(text)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("delta: q0 0 -> qX 1 R", "undeclared state 'qX'"),
+    ("delta: q0 0 -> q0 9 R", "undeclared symbol '9'"),
+    ("delta: q0 0 -> q0 1 S", "move must be L or R"),
+    ("delta: qH 0 -> q0 1 R", "halt state 'qH' must not have transitions"),
+])
+def test_transition_checks_are_shared_and_the_parser_adds_the_line(line, message):
+    text = FLIP_TEXT.replace("delta: q0 0 -> q0 1 R", line)
+    with pytest.raises(MachineError, match=f"^line 6: {message}"):
+        parse_machine(text)
+    # the constructor runs the same check, without a line
+    q, s, _, q2, s2, move = line.split()[1:]
+    m = parse_machine(FLIP_TEXT)
+    delta = {k: v for k, v in m.delta.items() if k != ("q0", "0")}
+    delta[(q, s)] = (q2, s2, move)
+    with pytest.raises(MachineError, match=f"^{message}"):
+        TuringMachine(m.states, m.tape_symbols, m.input_symbols, m.start_state,
+                      m.halt_states, delta)
 
 
 def test_bad_move_letter():
@@ -196,6 +219,24 @@ def test_every_level_runs_the_same_loop(flip, level):
     # flip halts on its third step, so a budget of exactly 3 suffices
     history, halted, _ = _run_at(level, flip, c0, 3)
     assert len(history) == 4 and halted
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 40))
+def test_streamed_runs_yield_the_states_of_run_star(seed, max_steps):
+    # the level table an exact ``run`` streams through, against every run_*
+    rng = random.Random(seed)
+    m = random_machine(rng)
+    c0 = initial_config(m, random_input(rng, m))
+    for level in cli.LEVELS:
+        start, successor, to_config, _ = cli.LEVELS[level](m)
+        run = Run(successor, start(c0), max_steps)
+        history, halted, s0 = _run_at(level, m, c0, max_steps)
+        assert s0 == start(c0)
+        assert tuple(run) == history
+        assert (run.steps, run.final, run.halted) == (len(history) - 1, history[-1], halted)
+        assert tuple(run) == history  # iterating again replays the run
+        assert to_config(run.final) == run_tm(m, c0, max_steps).configs[run.steps]
 
 
 def test_initial_config(flip):

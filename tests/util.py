@@ -94,3 +94,37 @@ def machine_with_sizes(n_q: int, n_s: int) -> TuringMachine:
         for s in symbols:
             delta[(q, s)] = (states[min(i + 1, n_q - 1)], s, "R")
     return TuringMachine(states, symbols, symbols[1:], states[0], halts, delta)
+
+
+def compare_per_step(m: TuringMachine, word, max_steps: int, auto=None, net=None):
+    """The per-step compare that ``cli.compare_levels`` replaced, kept as its
+    oracle: tm's whole trace first, then every configuration encoded and
+    checked against gs, nda and net.  Calls go through the modules, so a
+    monkeypatched fault reaches both."""
+    from tm2net import cli, encode, gshift, machine, nda, network
+
+    c0 = machine.initial_config(m, word)
+    tm_trace = machine.run_tm(m, c0, max_steps)
+    steps = tm_trace.steps
+    gs = gshift.build_gshift(m)
+    auto = auto if auto is not None else nda.build_nda(m)
+    net = net if net is not None else network.build_network(auto)
+
+    gs_c = c0
+    pt = encode.encode_config(m, c0)
+    state = network.initial_state(net, pt)
+    for t in range(steps + 1):
+        tm_c = tm_trace.configs[t]
+        reference = encode.encode_config(m, tm_c)
+        if gs_c != tm_c:
+            return cli.CompareResult(False, steps, tm_trace.halted,
+                                     (t, "tm", "gs", reference, encode.encode_config(m, gs_c)))
+        for level, got in (("nda", pt), ("net", encode.Point(*state.mcl))):
+            if got != reference:
+                return cli.CompareResult(False, steps, tm_trace.halted,
+                                         (t, "tm", level, reference, got))
+        if t < steps:
+            gs_c = gshift.gs_step(gs, gs_c)
+            pt = nda.nda_step(auto, pt)
+            state = network.net_step(net, state)
+    return cli.CompareResult(True, steps, tm_trace.halted)
