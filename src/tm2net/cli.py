@@ -90,10 +90,12 @@ def _config_level(m: TuringMachine, successor) -> tuple:
 
 
 def _nda_level(m: TuringMachine) -> tuple:
+    # states of the nda's kernel, where every encoded configuration has one
     auto = nda.build_nda(m)
-    return (partial(encode_config, m), partial(nda.nda_successor, auto),
-            partial(encode.decode_point, m),
-            lambda points, halted: nda.orbit_rows(auto, points))
+    return (lambda c: auto.kernel.fit(encode_config(m, c))[1],
+            partial(nda.nda_successor, auto),
+            lambda s: encode.decode_point(m, auto.kernel.point(s)),
+            lambda states, halted: nda.orbit_rows(auto, map(auto.kernel.point, states)))
 
 
 def _net_level(m: TuringMachine) -> tuple:
@@ -170,9 +172,7 @@ def first_divergence(exact_trace, float_trace) -> int | None:
     exact MCL; None if they agree over the shared prefix and lengths match."""
     shared = min(len(exact_trace.states), len(float_trace.states))
     for t in range(shared):
-        ex, ey = exact_trace.states[t].mcl
-        fx, fy = float_trace.states[t].mcl
-        if (float(ex), float(ey)) != (fx, fy):
+        if exact_trace.states[t].floats != float_trace.states[t].floats:
             return t
     if len(exact_trace.states) != len(float_trace.states):
         return shared
@@ -215,21 +215,24 @@ def compare_levels(m: TuringMachine, word, max_steps: int,
 def _lockstep(m, tm_run, gs, auto, net, reference):
     """Step gs, nda and net beside ``tm_run`` and compare every step, with
     ``reference(prev, pt, c)`` as tm's point at configuration ``c`` after
-    ``prev`` at ``pt``; returns the first mismatch or None, and that point."""
+    ``prev`` at ``pt``; returns the first mismatch or None, and that point.
+    nda and net step on kernel states, which are compared with tm's point
+    without building a Fraction."""
     gs_c = tm_run.s0
-    pt = point = encode_config(m, gs_c)
-    state = network.initial_state(net, pt)
+    point = encode_config(m, gs_c)
+    kernel, s = auto.kernel.fit(point)
+    state = network.initial_state(net, point)
     for t, tm_c in enumerate(tm_run):
         if t:
             point = reference(prev, point, tm_c)
             gs_c = gshift.gs_step(gs, gs_c)
-            pt = nda.nda_step(auto, pt)
+            s = kernel.step(s)[1]  # as nda_step: halt cells step too
             state = network.net_step(net, state)
         if gs_c != tm_c:  # both canonical, so equal exactly when their points are
             return (t, "tm", "gs", encode_config(m, tm_c), encode_config(m, gs_c)), point
-        for level, got in (("nda", pt), ("net", Point(*state.mcl))):
-            if got != point:
-                return (t, "tm", level, point, got), point
+        for level, k, got in (("nda", kernel, s), ("net", state.kernel, state.scaled)):
+            if not k.equals(got, point):
+                return (t, "tm", level, point, k.point(got)), point
         prev = tm_c
     return None, point
 

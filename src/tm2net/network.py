@@ -14,9 +14,10 @@ one network iteration per machine step:
 Every weight is an exact rational fixed by the grid, h and each cell's
 (lambda, a); simulation runs either exactly or in float64 (the latter only
 to show how expansion destroys the encoding).  Exact mode computes only
-what can be nonzero: the BSL staircase corner from the grid, then its LTL
-pair, then the MCL.  The bounds 0 < lambda and a + lambda <= h/2, enforced
-by the constructor, make that equal to the dense sweep float64 mode runs.
+what can be nonzero, on scaled integers (``nda.Kernel``): the BSL staircase
+corner from the grid, then its LTL pair, then the MCL.  The bounds
+0 < lambda and a + lambda <= h/2, enforced by the constructor, make that
+equal to the dense sweep float64 mode runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property, partial
 
 from .encode import Point, parse_rat, rat_str
 from .machine import iterate
-from .nda import Nda, grid_bounds
+from .nda import Kernel, Nda, grid_bounds
 
 HALT_ATOL = 1e-9  # float-mode fixed-point tolerance per coordinate
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -108,12 +109,23 @@ class Network:
         ltl, half = _unit_ids(self.n_q, self.n_s)[2], self.h / 2
         if len(self.branch_params) != len(ltl):
             raise NetworkFormatError("branch_params needs one entry per cell")
-        for t, params in zip(ltl, self.branch_params):
+        ns = self.n_s  # (lambda_x, lambda_y) of R, L and halt cells, as num, den
+        constructed = {(1, ns, ns, 1), (ns, 1, 1, ns), (1, 1, 1, 1)}
+        for c, (t, params) in enumerate(zip(ltl, self.branch_params)):
             for u, kind, (lam, a) in zip((t, t + 1), (LTL_X, LTL_Y), params):
                 if not (lam > 0 and a + lam <= half):
                     raise NetworkFormatError(
                         f"{kind} {u}: lambda = {lam} and a = {a} break "
                         f"0 < lambda and a + lambda <= h/2 = {half}")
+            (lx, _), (ly, _) = params
+            if (lx.numerator, lx.denominator, ly.numerator, ly.denominator) not in constructed:
+                raise NetworkFormatError(f"cell {divmod(c, ns)}: lambda pair ({lx}, {ly}) "
+                                         "is not (1/n_s, n_s), (n_s, 1/n_s) or (1, 1)")
+
+    @cached_property
+    def kernel(self) -> Kernel:
+        """The branch table on scaled integers, built on the first exact step."""
+        return Kernel(self.n_q, self.n_s, enumerate(self.branch_params))
 
     @cached_property
     def units(self) -> tuple[Unit, ...]:
@@ -239,44 +251,61 @@ def build_network(nda: Nda) -> Network:
                    h=h, branch_params=params)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False)  # not frozen: that would triple the cost of a step
 class NetState:
-    """One network state; the bias unit is pinned to 1.
+    """One network state, not to be changed; the bias unit is pinned to 1.
 
-    A float64 state holds its whole activation vector.  An exact state holds
-    only the MCL and the BSL staircase corner (i*, j*) of the sweep that
-    produced it (None before the first sweep).  Under the network's branch
-    bounds these fix every activation, so ``values`` is built from them on
-    first read, element-wise equal to what the dense sweep gives.
+    A float64 state holds its MCL and its whole activation vector.  An exact
+    state holds its MCL as a state of an ``nda.Kernel`` (``scaled``) and the
+    BSL staircase corner (i*, j*) of the sweep that produced it (None before
+    the first sweep), which fix every activation under the branch bounds:
+    ``mcl`` and ``values`` (equal to the dense sweep's) are built as
+    Fractions on first read.  Equality is the MCL's: the corner, the last
+    MCL's cell, does not change the run on.
     """
 
     mode: str  # "exact" | "float64"
-    mcl: tuple
+    _mcl: tuple | None
     corner: tuple[int, int] | None = None
+    scaled: tuple | None = None
+    kernel: Kernel | None = field(default=None, repr=False)
     _net: Network | None = field(default=None, repr=False)
     _values: tuple | None = field(default=None, repr=False)
 
     @property
+    def mcl(self) -> tuple:
+        if self._mcl is None:
+            self._mcl = self.kernel.point(self.scaled)
+        return self._mcl
+
+    @property
+    def floats(self) -> tuple[float, float]:
+        """The MCL in float64; int / int is correctly rounded, as float(Fraction)."""
+        if self.scaled is None:
+            return self.mcl
+        return tuple(n / d for n, d in self.kernel.ratios(self.scaled))
+
+    @property
     def values(self) -> tuple:
         if self._values is None:
-            object.__setattr__(self, "_values", _exact_values(self._net, self))
+            self._values = _exact_values(self._net, self)
         return self._values
 
     def __eq__(self, other):
         if not isinstance(other, NetState):
             return NotImplemented
-        return self.mode == other.mode and self.values == other.values
+        return self.mode == other.mode and (
+            self.values == other.values if self.scaled is None
+            else self.kernel.key(self.scaled) == other.kernel.key(other.scaled))
 
     def __hash__(self):
-        return hash((self.mode, self.mcl))
+        return hash((self.mode, self.mcl if self.scaled is None else self.kernel.key(self.scaled)))
 
 
 def _exact_values(net: Network, state: NetState) -> tuple:
-    """The dense activation vector of an exact state.
-
-    The BSL units up to the corner are on; only the corner's LTL pair can be
-    positive, and the MCL copies it with weight 1.
-    """
+    """The dense activation vector of an exact state: the BSL units up to the
+    corner are on, and only the corner's LTL pair, which the MCL copies with
+    weight 1, can be positive."""
     vals = [ZERO] * net.n_units
     vals[0], vals[1] = state.mcl
     vals[net.bias_id] = 1
@@ -293,7 +322,8 @@ def initial_state(net: Network, pt: Point, mode: str = "exact") -> NetState:
     if mode not in ("exact", "float64"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":
-        return NetState(mode, (Fraction(pt.x), Fraction(pt.y)), _net=net)
+        kernel, s = net.kernel.fit(pt)
+        return NetState(mode, None, scaled=s, kernel=kernel, _net=net)
     values = [0.0] * net.n_units
     values[0], values[1] = float(pt.x), float(pt.y)
     values[net.bias_id] = 1.0
@@ -324,49 +354,30 @@ def _dense_sweep(net: Network, values: tuple, exact: bool) -> tuple:
     vals = list(values)
     # MCL values are untouched until phase 3, so reading `vals` below always
     # sees old MCL and (in phase 2) fresh BSL.
-    for u in net._bsl_ids:
-        total = zero
-        for src, w in edges[u]:
-            v = vals[src]
-            if v:
-                total = total + w * v
-        vals[u] = 1 if total >= 0 else 0
-    for u in net._ltl_ids:
-        total = zero
-        for src, w in edges[u]:
-            v = vals[src]
-            if v:
-                total = total + w * v
-        vals[u] = total if total > 0 else zero
-    for u in (0, 1):
-        total = zero
-        for src, w in edges[u]:
-            v = vals[src]
-            if v:
-                total = total + w * v
-        vals[u] = total if total > 0 else zero
+    for ids in (net._bsl_ids, net._ltl_ids, (0, 1)):
+        heaviside = ids is net._bsl_ids
+        for u in ids:
+            total = zero
+            for src, w in edges[u]:
+                v = vals[src]
+                if v:
+                    total = total + w * v
+            vals[u] = (1 if total >= 0 else 0) if heaviside else (total if total > 0 else zero)
     return tuple(vals)
 
 
 def _sparse_step(net: Network, state: NetState) -> NetState:
-    """The exact step computing only what can be nonzero.
+    """The exact step computing only what can be nonzero, on the kernel.
 
     The BSL staircase corner is the grid cell of the MCL, closed at x = 1
     and y = 1 where every BSL unit of the axis is on; the corner's LTL pair
-    is the only one that can fire, and the MCL takes its outputs.  Equal to
-    ``_dense_sweep`` on every MCL in [0, 1]^2.
-    """
-    x, y = state.mcl
-    if not (0 <= x <= 1 and 0 <= y <= 1):
-        raise ValueError(f"MCL ({x}, {y}) lies outside [0, 1]^2, "
-                         "where the sparse step is not proven")
-    n_x, n_y = net.n_x_cells, net.n_y_cells
-    i = min(x.numerator * n_x // x.denominator, n_x - 1)
-    j = min(y.numerator * n_y // y.denominator, n_y - 1)
-    (lam_x, a_x), (lam_y, a_y) = net.branch_params[i * n_y + j]
-    x, y = lam_x * x + a_x, lam_y * y + a_y
-    return NetState(state.mode, (x if x > 0 else ZERO, y if y > 0 else ZERO),
-                    (i, j), net)
+    is the only one that can fire, and the MCL takes its outputs, ramped.
+    Equal to ``_dense_sweep`` on every MCL in [0, 1]^2; outside, where that
+    is not proven, raises CellRangeError."""
+    if state._net is not net:  # a state of another network
+        state = initial_state(net, state.mcl)
+    corner, s = state.kernel.step(state.scaled, net=True)
+    return NetState(state.mode, None, corner, s, state.kernel, net)
 
 
 def net_successor(net: Network, state: NetState) -> NetState | None:
@@ -374,7 +385,7 @@ def net_successor(net: Network, state: NetState) -> NetState | None:
     halt): equal in exact mode, within ``HALT_ATOL`` per coordinate in float64."""
     nxt = net_step(net, state)
     if state.mode == "exact":
-        fixed = nxt.mcl == state.mcl
+        fixed = nxt.scaled == state.scaled if nxt.kernel is state.kernel else nxt == state
     else:
         fixed = all(abs(p - q) <= HALT_ATOL for p, q in zip(state.mcl, nxt.mcl))
     return None if fixed else nxt
@@ -391,12 +402,8 @@ def bsl_pattern(net: Network, state: NetState) -> tuple[int, ...]:
 
 def active_cell(net: Network, state: NetState) -> tuple[int, int] | None:
     """Cell of the positive LTL pair, None if all LTL units are silent."""
-    if state.mode == "exact":
-        # the corner pair outputs the MCL; every other LTL unit is silent
-        corner = state.corner
-        if corner is None or max(state.mcl) <= 0:
-            return None
-        return corner
+    if state.mode == "exact":  # the corner pair outputs the MCL, the rest are silent
+        return state.corner if state.scaled[0] > 0 or state.scaled[2] > 0 else None
     cells = {net.units[u].cell for u in net._ltl_ids if state.values[u] > 0}
     if not cells:
         return None
@@ -429,19 +436,12 @@ def net_trace_rows(net: Network, trace: NetTrace) -> list[dict]:
     rows = []
     last = len(trace.states) - 1
     for t, s in enumerate(trace.states):
-        if s.mode == "exact":
-            cx, cy = rat_str(s.mcl[0]), rat_str(s.mcl[1])
-        else:
-            cx, cy = f"{s.mcl[0]:.17g}", f"{s.mcl[1]:.17g}"
+        cx, cy = (rat_str(v) if s.mode == "exact" else f"{v:.17g}" for v in s.mcl)
         cell = active_cell(net, s)
-        rows.append({
-            "step": t,
-            "c_x": cx,
-            "c_y": cy,
-            "active_cell_i": "" if cell is None else cell[0],
-            "active_cell_j": "" if cell is None else cell[1],
-            "halted": trace.halted and t == last,
-        })
+        rows.append({"step": t, "c_x": cx, "c_y": cy,
+                     "active_cell_i": "" if cell is None else cell[0],
+                     "active_cell_j": "" if cell is None else cell[1],
+                     "halted": trace.halted and t == last})
     return rows
 
 

@@ -459,12 +459,8 @@ def test_first_divergence_none_for_identical():
         def __init__(self, states):
             self.states = states
 
-    class S:
-        def __init__(self, mcl):
-            self.mcl = mcl
-
-    a = T([S((0.5, 0.25))])
-    b = T([S((0.5, 0.25))])
+    a = T([network.NetState("float64", (0.5, 0.25))])
+    b = T([network.NetState("float64", (0.5, 0.25))])
     assert first_divergence(a, b) is None
 
 

@@ -185,10 +185,11 @@ def test_full_trace_commutes(flip):
 
 
 def test_run_nda_selects_each_cell_once(flip, monkeypatch):
+    # the kernel selects cells by the integer floor shared with cell_of_point
     calls = []
-    real = nda.cell_of_point
-    monkeypatch.setattr(nda, "cell_of_point",
-                        lambda p, pt: calls.append(pt) or real(p, pt))
+    real = nda._cell
+    monkeypatch.setattr(nda, "_cell", lambda nx, dx, ny, dy, *rest: calls.append(
+        Point(Fraction(nx, dx), Fraction(ny, dy))) or real(nx, dx, ny, dy, *rest))
     orbit = run_nda(build_nda(flip), encode_config(flip, initial_config(flip, "0110")), 20)
     assert orbit.halted
     assert calls == list(orbit.points)
@@ -215,3 +216,48 @@ def test_orbit_rows(flip):
     rows = orbit_rows(auto, orbit.points)
     assert rows[0] == {"step": 0, "x": "0/1", "y": "5/9", "cell_i": 0, "cell_j": 1}
     assert [r["step"] for r in rows] == list(range(4))
+
+
+def test_kernel_follows_bb5_from_step_20000():
+    # BB(5) from tm's configuration at step 20,000: for 2,000 steps the nda
+    # and net kernels hold exactly the encodings of tm's configurations
+    from functools import partial
+    from pathlib import Path
+
+    from tm2net.machine import Run, parse_machine, tm_successor
+    from tm2net.network import build_network, initial_state, net_step
+
+    text = (Path(__file__).resolve().parent.parent / "bench" / "machines" / "bb5.tm").read_text()
+    m = parse_machine(text)
+    auto = build_nda(m)
+    net = build_network(auto)
+    run = Run(partial(tm_successor, m), initial_config(m, ""), 22_000)
+    s = state = None
+    for t, c in enumerate(run):
+        if t < 20_000:
+            continue
+        pt = encode_config(m, c)
+        if s is None:
+            s, state = auto.kernel.fit(pt)[1], initial_state(net, pt)
+            assert pt.y.denominator.bit_length() > 200  # a wide tape
+        else:
+            s, state = nda.nda_successor(auto, s), net_step(net, state)
+        assert s == auto.kernel.fit(pt)[1] and auto.kernel.point(s) == pt
+        assert state.scaled == net.kernel.fit(pt)[1] and state.mcl == pt
+    assert run.steps == 22_000 and not run.halted
+
+
+def test_kernel_states_are_canonical_whatever_c():
+    # equal points are equal states of one kernel, and equal keys across kernels
+    rng = random.Random(47)
+    for _ in range(20):
+        m = random_machine(rng)
+        kernel = build_nda(m).kernel
+        wide, _ = kernel.fit(Point(Fraction(1, 7), Fraction(3, 11)))
+        assert wide.c == (kernel.c[0] * 7, 11)
+        pt = encode_config(m, random_config(rng, m))
+        s, w = kernel.fit(pt)[1], wide.fit(pt)[1]
+        assert kernel.point(s) == wide.point(w) == pt
+        assert kernel.key(s) == wide.key(w)
+        padded = (s[0] * m.n_symbols ** 3, s[1] + 3, s[2], s[3])  # three zero digits
+        assert kernel.point(padded) == pt and kernel.fit(kernel.point(padded))[1] == s

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from tm2net import network
 from tm2net.encode import Point, encode_config, rat_str
 from tm2net.machine import initial_config, parse_machine, run_tm
-from tm2net.nda import build_nda, cell_of_point
+from tm2net.nda import CellRangeError, build_nda, cell_of_point
 from tm2net.network import (
     BSL_X,
     BSL_Y,
@@ -30,7 +30,7 @@ from tm2net.network import (
     unit_count,
 )
 
-from util import machine_with_sizes, random_input, random_machine
+from util import corrupt, fraction_step, machine_with_sizes, random_input, random_machine
 
 
 @pytest.fixture(scope="module")
@@ -353,7 +353,20 @@ JSON_VALUES = st.one_of(
 )
 
 
+class Draws:
+    """Fixed values standing in for ``st.data()`` in an ``@example``."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+
 @settings(max_examples=150, deadline=None)
+# lambda = 1/2 on flip's first MCL x -> LTL x edge: within the bounds, but no
+# lambda of the construction, so no kernel could step it
+@example(data=Draws("replace", ("weights", 6, "value"), "1/2"))
 @given(st.data())
 def test_import_rejects_or_certifies_any_mutated_document(flip_net, data):
     doc = json.loads(json.dumps(export_network(flip_net)))
@@ -499,3 +512,86 @@ def test_degenerate_error_is_unreachable_for_valid_machines():
         m = random_machine(rng)
         net = build_network(build_nda(m))
         assert net.h >= 2
+
+
+@settings(max_examples=60, deadline=None)
+# random_machine(Random(0)) has a 12 x 3 grid: a start off the lattice and
+# each corrupted offset
+@example(random.Random(0), Fraction(5, 7), Fraction(11, 60), "none")
+@example(random.Random(0), Fraction(1, 2), Fraction(1, 3), "k/7")
+@example(random.Random(0), Fraction(0), Fraction(0), "-1/36")
+@example(random.Random(0), Fraction(1), Fraction(1), "+1")
+@example(random.Random(0), Fraction(1, 12), Fraction(2, 3), "-h")
+@given(st.randoms(use_true_random=False),
+       st.fractions(min_value=0, max_value=1, max_denominator=60),
+       st.fractions(min_value=0, max_value=1, max_denominator=60),
+       st.sampled_from(["none", "k/7", "-1/36", "+1", "-h"]))
+def test_kernel_steps_equal_the_fraction_oracle_and_the_dense_sweep(rng, x, y, fault):
+    # every step of the scaled-integer kernel, nda and net, on encoded and
+    # off-lattice starts and on corrupted offsets
+    m = random_machine(rng)
+    auto = build_nda(m)
+    auto = corrupt(auto, rng, fault, build_network(auto).h)
+    net = build_network(auto)  # its h covers the corrupted offset
+    starts = [encode_config(m, initial_config(m, random_input(rng, m))), Point(x, y)]
+    for pt in starts:
+        for kernel, closed in ((auto.kernel, False), (net.kernel, True)):
+            kernel, s = kernel.fit(pt)
+            want = pt
+            for _ in range(10):
+                try:
+                    want = fraction_step(auto, want, closed)
+                except CellRangeError:
+                    with pytest.raises(CellRangeError):
+                        kernel.step(s, closed)
+                    break
+                s = kernel.step(s, closed)[1]
+                # the state is the point, in canonical form
+                assert kernel.point(s) == want and s == kernel.fit(want)[1]
+        state = initial_state(net, pt)
+        for _ in range(10):
+            if not in_unit_square(state):
+                break
+            state = assert_sparse_matches_dense(net, state)
+
+
+def test_exact_state_floats_are_the_rounded_fractions(flip, flip_net):
+    # int / int is correctly rounded, as float() of a Fraction is
+    pt = encode_config(flip, initial_config(flip, "01" * 700))
+    assert pt.y.denominator.bit_length() >= 2000
+    trace = run_network(flip_net, initial_state(flip_net, pt), 40)
+    assert trace.states[0].scaled[2].bit_length() >= 2000
+    for s in trace.states:
+        assert s.floats == (float(s.mcl[0]), float(s.mcl[1]))
+    rng = random.Random(5)
+    for bits in (2000, 3000, 5000):
+        d = 2 * 3 ** (bits * 2 // 3)
+        v = Point(Fraction(rng.randrange(d), d), Fraction(rng.randrange(d), d))
+        s = initial_state(flip_net, v)
+        assert s.floats == (float(v.x), float(v.y))
+
+
+def test_exact_states_equal_and_hash_by_their_mcl(flip, flip_net):
+    s = initial_state(flip_net, encode_config(flip, initial_config(flip, "0110")))
+    for _ in range(3):
+        s = net_step(flip_net, s)
+        fresh = initial_state(flip_net, s.mcl)
+        assert s.corner is not None and fresh.corner is None
+        assert s == fresh and hash(s) == hash(fresh)
+        assert s != net_step(flip_net, s)
+    # a state of a kernel widened for a point off the lattice
+    wide = initial_state(flip_net, Point(Fraction(1, 7), Fraction(1, 5)))
+    same = initial_state(flip_net, Point(Fraction(2, 3), Fraction(1, 3)))
+    assert wide.kernel.c != same.kernel.c
+    other, s = wide.kernel.fit(same.mcl)
+    assert other is wide.kernel and s != same.scaled
+    assert other.key(s) == same.kernel.key(same.scaled)
+
+
+def test_constructor_accepts_only_the_constructions_lambda_pairs(flip_net):
+    params = list(flip_net.branch_params)
+    (lam_x, a_x), y = params[4]
+    for lam in (Fraction(1, 2), Fraction(1, 9), Fraction(2)):
+        params[4] = ((lam, a_x), y)
+        with pytest.raises(NetworkFormatError, match=r"cell \(1, 1\): lambda pair"):
+            dataclasses.replace(flip_net, branch_params=tuple(params))

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from fractions import Fraction
 
+from tm2net.encode import Point
 from tm2net.machine import Config, TuringMachine, canonical_config
+from tm2net.nda import Branch, CellRangeError, Nda
 
 MOVES = ("L", "R")
 
@@ -96,11 +99,40 @@ def machine_with_sizes(n_q: int, n_s: int) -> TuringMachine:
     return TuringMachine(states, symbols, symbols[1:], states[0], halts, delta)
 
 
+def corrupt(auto, rng: random.Random, kind: str, h=None):
+    """``auto`` with one random cell's offset on one random axis moved:
+    ``k/7`` adds 1/7, 2/7 or 3/7, ``-1/36`` and ``+1`` add those, ``-h``
+    subtracts ``h``; ``none`` leaves it."""
+    if kind == "none":
+        return auto
+    delta = {"k/7": Fraction(rng.randint(1, 3), 7), "-1/36": Fraction(-1, 36),
+             "+1": Fraction(1), "-h": -h}[kind]
+    cell = rng.choice(sorted(auto.branches))
+    b = auto.branches[cell]
+    a_x, a_y = (b.a_x + delta, b.a_y) if rng.random() < 0.5 else (b.a_x, b.a_y + delta)
+    branches = dict(auto.branches)
+    branches[cell] = Branch(a_x, a_y, b.lambda_x, b.lambda_y, b.triple, b.action)
+    return Nda(auto.machine, auto.partition, branches)
+
+
+def fraction_step(auto, pt, net: bool = False):
+    """The Fraction step the scaled-integer kernel replaced, kept as its
+    oracle: the cell by Fraction floors, then ``Branch.apply``.  For the
+    network (``net``) the cells are closed at 1 and the ramp clips at 0;
+    a point outside the square raises CellRangeError."""
+    x, y = pt
+    if not (0 <= x <= 1 and 0 <= y <= 1) or not net and (x == 1 or y == 1):
+        raise CellRangeError(f"point ({x}, {y}) outside the square")
+    n_x, n_y = auto.partition.n_x_cells, auto.partition.n_y_cells
+    nxt = auto.branches[(min(int(x * n_x), n_x - 1), min(int(y * n_y), n_y - 1))].apply(pt)
+    return Point(*(max(v, 0) for v in nxt)) if net else nxt
+
+
 def compare_per_step(m: TuringMachine, word, max_steps: int, auto=None, net=None):
     """The per-step compare that ``cli.compare_levels`` replaced, kept as its
     oracle: tm's whole trace first, then every configuration encoded and
-    checked against gs, nda and net.  Calls go through the modules, so a
-    monkeypatched fault reaches both."""
+    checked against gs, nda and net, nda stepped by the Fraction oracle.
+    Calls go through the modules, so a monkeypatched fault reaches both."""
     from tm2net import cli, encode, gshift, machine, nda, network
 
     c0 = machine.initial_config(m, word)
@@ -125,6 +157,6 @@ def compare_per_step(m: TuringMachine, word, max_steps: int, auto=None, net=None
                                          (t, "tm", level, reference, got))
         if t < steps:
             gs_c = gshift.gs_step(gs, gs_c)
-            pt = nda.nda_step(auto, pt)
+            pt = fraction_step(auto, pt)
             state = network.net_step(net, state)
     return cli.CompareResult(True, steps, tm_trace.halted)
