@@ -50,6 +50,7 @@ class RunReport:
     final_y: str  # num/den
     final_float: tuple[float, float] | None = None
     divergence_step: int | None = None
+    cell_divergence_step: int | None = None
 
 
 def parse_word(m: TuringMachine, text: str) -> tuple[str, ...]:
@@ -139,7 +140,8 @@ def run_level(m: TuringMachine, word, level: str, max_steps: int,
             _report_from_config(m, level, final, exact_trace.steps, max_steps),
             mode="float64", steps=float_trace.steps, halted=float_trace.halted,
             final_float=float_trace.final.mcl,
-            divergence_step=first_divergence(exact_trace, float_trace))
+            divergence_step=first_divergence(exact_trace, float_trace),
+            cell_divergence_step=first_divergence(exact_trace, float_trace, "corner"))
         return report, lambda: network.net_trace_rows(net, float_trace)
 
     start, successor, to_config, level_rows = LEVELS[level](m)
@@ -167,12 +169,14 @@ def _config_rows(m: TuringMachine, configs) -> list[dict]:
     return rows
 
 
-def first_divergence(exact_trace, float_trace) -> int | None:
-    """First step where the float64 MCL differs bitwise from the rounded
-    exact MCL; None if they agree over the shared prefix and lengths match."""
+def first_divergence(exact_trace, float_trace, field: str = "floats") -> int | None:
+    """First step where the runs' states differ in ``field``: the float64
+    MCL bitwise from the rounded exact MCL, or with ``"corner"`` the BSL
+    corner, the cell the sweep read; None if they agree over the shared
+    prefix and lengths match."""
     shared = min(len(exact_trace.states), len(float_trace.states))
     for t in range(shared):
-        if exact_trace.states[t].floats != float_trace.states[t].floats:
+        if getattr(exact_trace.states[t], field) != getattr(float_trace.states[t], field):
             return t
     if len(exact_trace.states) != len(float_trace.states):
         return shared
@@ -309,10 +313,8 @@ def _print_report(report: RunReport, fmt: str) -> None:
         fx, fy = report.final_float
         print(f"final point (float64): x={fx:.17g} y={fy:.17g}")
     if report.mode == "float64":
-        if report.divergence_step is None:
-            print("divergence from exact trace: none")
-        else:
-            print(f"divergence from exact trace: step {report.divergence_step}")
+        for what, t in (("", report.divergence_step), ("cell ", report.cell_divergence_step)):
+            print(f"{what}divergence from exact trace: {'none' if t is None else f'step {t}'}")
 
 
 def cmd_run(args) -> int:

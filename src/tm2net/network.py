@@ -12,16 +12,17 @@ one network iteration per machine step:
   full h of excitation (h/2 per axis, inhibition from the next line's unit).
 
 Every weight is an exact rational fixed by the grid, h and each cell's
-(lambda, a); simulation runs either exactly or in float64 (the latter only
-to show how expansion destroys the encoding).  Exact mode computes only
-what can be nonzero, on scaled integers (``nda.Kernel``): the BSL staircase
-corner from the grid, then its LTL pair, then the MCL.  The bounds
-0 < lambda and a + lambda <= h/2, enforced by the constructor, make that
-equal to the dense sweep float64 mode runs.
+(lambda, a).  A step is the sweep over every in-edge, computed only where a
+unit can be nonzero: the BSL staircase corner from the grid, the LTL units
+that can fire, the MCL.  Exact mode runs it on scaled integers
+(``nda.Kernel``), where the bounds 0 < lambda and a + lambda <= h/2,
+enforced by the constructor, leave the corner's pair; float64, only there
+to show how expansion destroys the encoding, keeps the sweep's rounding.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -136,28 +137,22 @@ class Network:
         return _wire(self.n_q, self.n_s, self.h, self.branch_params)
 
     @cached_property
-    def _in_edges(self) -> tuple:
-        incoming = [[] for _ in range(self.n_units)]
-        for (src, dst), w in sorted(self.weights.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            incoming[dst].append((src, w))
-        return tuple(tuple(edges) for edges in incoming)
-
-    @cached_property
-    def _in_edges_float(self) -> tuple:
-        try:
-            return tuple(tuple((src, float(w)) for src, w in edges)
-                         for edges in self._in_edges)
+    def _float_table(self) -> tuple:
+        """The float64 weights, built on the first float step (see ``_float_step``).
+        A weight beyond the float64 range raises NetworkFormatError."""
+        try:  # the weights -h/2, -lo and 1 are in range when h/2 and lo are
+            half, pairs, cells = float(self.h / 2), {}, []
+            for (lx, ax), (ly, ay) in self.branch_params:
+                a = float(ax - self.h), float(ay - self.h)
+                top = pairs.setdefault((float(lx), float(ly)), [len(pairs), *a])
+                top[1:] = map(max, top[1:], a)
+                cells.append((top[0], *a))
         except OverflowError as exc:
             raise NetworkFormatError(f"a weight exceeds the float64 range: {exc}") from exc
-
-    @cached_property
-    def _bsl_ids(self) -> tuple[int, ...]:
-        return tuple(u for ids in _unit_ids(self.n_q, self.n_s)[:2] for u in ids)
-
-    @cached_property
-    def _ltl_ids(self) -> tuple[int, ...]:
-        ltl = _unit_ids(self.n_q, self.n_s)[2]
-        return tuple(range(ltl.start, ltl.stop))
+        xs, ys = (tuple(map(float, b[:-1])) for b in grid_bounds(self.n_q, self.n_s))
+        lines = (half, -half), (half,), ()  # per place: below, at, above the corner
+        return xs, ys, tuple(tuple(a + b for b in lines) for a in lines), [
+            lams + tuple(top[1:]) for lams, top in pairs.items()], cells
 
     @property
     def n_units(self) -> int:
@@ -255,13 +250,12 @@ def build_network(nda: Nda) -> Network:
 class NetState:
     """One network state, not to be changed; the bias unit is pinned to 1.
 
-    A float64 state holds its MCL and its whole activation vector.  An exact
-    state holds its MCL as a state of an ``nda.Kernel`` (``scaled``) and the
-    BSL staircase corner (i*, j*) of the sweep that produced it (None before
-    the first sweep), which fix every activation under the branch bounds:
-    ``mcl`` and ``values`` (equal to the dense sweep's) are built as
-    Fractions on first read.  Equality is the MCL's: the corner, the last
-    MCL's cell, does not change the run on.
+    A state holds its MCL, the BSL staircase corner (i*, j*) of the sweep
+    that produced it (the last MCL's cell; None before the first sweep) and,
+    in float64, its fired LTL units as (unit id, output).  An exact state's
+    MCL is a state of an ``nda.Kernel`` (``scaled``), read as Fractions, and
+    only its corner's pair fires.  ``values``, the dense sweep's vector, is
+    built on read.  Equality is the MCL's (exact) or the stored fields'.
     """
 
     mode: str  # "exact" | "float64"
@@ -270,6 +264,7 @@ class NetState:
     scaled: tuple | None = None
     kernel: Kernel | None = field(default=None, repr=False)
     _net: Network | None = field(default=None, repr=False)
+    fired: tuple = ()
     _values: tuple | None = field(default=None, repr=False)
 
     @property
@@ -288,32 +283,33 @@ class NetState:
     @property
     def values(self) -> tuple:
         if self._values is None:
-            self._values = _exact_values(self._net, self)
+            self._values = _values(self._net, self)
         return self._values
 
     def __eq__(self, other):
         if not isinstance(other, NetState):
             return NotImplemented
         return self.mode == other.mode and (
-            self.values == other.values if self.scaled is None
+            (self.mcl, self.corner, self.fired) == (other.mcl, other.corner, other.fired)
+            if self.scaled is None
             else self.kernel.key(self.scaled) == other.kernel.key(other.scaled))
 
     def __hash__(self):
         return hash((self.mode, self.mcl if self.scaled is None else self.kernel.key(self.scaled)))
 
 
-def _exact_values(net: Network, state: NetState) -> tuple:
-    """The dense activation vector of an exact state: the BSL units up to the
-    corner are on, and only the corner's LTL pair, which the MCL copies with
-    weight 1, can be positive."""
-    vals = [ZERO] * net.n_units
+def _values(net: Network, state: NetState) -> tuple:
+    """The dense activation vector: the BSL units up to the corner are on,
+    the fired LTL units hold their outputs (in exact mode the corner pair,
+    which the MCL copies with weight 1), the bias is 1, the rest is 0."""
+    exact = state.mode == "exact"
+    vals = [ZERO if exact else 0.0] * net.n_units
     vals[0], vals[1] = state.mcl
     vals[net.bias_id] = 1
     if state.corner is not None:
-        for ids, k in zip(_unit_ids(net.n_q, net.n_s), state.corner):
-            vals[ids.start:ids.stop] = [1] * (k + 1) + [0] * (len(ids) - 1 - k)
-        tx, ty = net.ltl_ids(*state.corner)
-        vals[tx], vals[ty] = state.mcl
+        vals[2:2 + net.n_x_cells + net.n_y_cells] = bsl_pattern(net, state)
+        for u, v in zip(net.ltl_ids(*state.corner), state.mcl) if exact else state.fired:
+            vals[u] = v
     return tuple(vals)
 
 
@@ -324,56 +320,57 @@ def initial_state(net: Network, pt: Point, mode: str = "exact") -> NetState:
     if mode == "exact":
         kernel, s = net.kernel.fit(pt)
         return NetState(mode, None, scaled=s, kernel=kernel, _net=net)
-    values = [0.0] * net.n_units
-    values[0], values[1] = float(pt.x), float(pt.y)
-    values[net.bias_id] = 1.0
-    return NetState(mode, (values[0], values[1]), _values=tuple(values))
+    return NetState(mode, (float(pt.x), float(pt.y)), _net=net)
 
 
 def net_step(net: Network, state: NetState) -> NetState:
-    """One machine step.
+    """One machine step: ``_sparse_step`` exactly, ``_float_step`` in float64."""
+    return (_sparse_step if state.mode == "exact" else _float_step)(net, state)
 
-    Exact mode runs the sparse step (``_sparse_step``); float64 runs the
-    dense three-phase sweep (``_dense_sweep``).
+
+def _float_step(net: Network, state: NetState) -> NetState:
+    """The sweep's float64 operations, in its order, where a unit can turn on.
+
+    A BSL unit's fl(c + float(-lo)) >= 0 holds exactly when c >= float(lo),
+    so the units on are a prefix, ending at the corner.  An LTL unit sums
+    fl(lambda*c), the +h/2 and -h/2 of its grid lines' BSL units that are on
+    (on x, then y) and a - h: fl(P + A), with P fixed by lambda and the
+    cell's place (below, at, above) against the corner on each axis.
+    Rounding is monotone, so a (lambda pair, place) group with fl(P + its
+    largest A) <= 0 cannot fire.  The MCL adds the fired outputs in id order.
     """
-    if state.mode == "exact":
-        return _sparse_step(net, state)
-    vals = _dense_sweep(net, state.values, exact=False)
-    return NetState(state.mode, (vals[0], vals[1]), _values=vals)
-
-
-def _dense_sweep(net: Network, values: tuple, exact: bool) -> tuple:
-    """One machine step as a three-phase sweep over the adjacency.
-
-    Phase 1 re-thresholds the BSL against the current MCL, phase 2 lets the
-    LTL read MCL, BSL and bias, phase 3 writes the LTL sums back into the
-    MCL through the ramp.
-    """
-    edges = net._in_edges if exact else net._in_edges_float
-    zero = ZERO if exact else 0.0
-    vals = list(values)
-    # MCL values are untouched until phase 3, so reading `vals` below always
-    # sees old MCL and (in phase 2) fresh BSL.
-    for ids in (net._bsl_ids, net._ltl_ids, (0, 1)):
-        heaviside = ids is net._bsl_ids
-        for u in ids:
-            total = zero
-            for src, w in edges[u]:
-                v = vals[src]
-                if v:
-                    total = total + w * v
-            vals[u] = (1 if total >= 0 else 0) if heaviside else (total if total > 0 else zero)
-    return tuple(vals)
+    xs, ys, lines, pairs, cells = net._float_table
+    x, y = state.mcl
+    corner = bisect_right(xs, x) - 1, bisect_right(ys, y) - 1
+    span_x, span_y = ((range(k), range(max(k, 0), k + 1), range(k + 1, len(lo)))
+                      for k, lo in zip(corner, (xs, ys)))  # below, at, above the corner
+    ns, summed = net.n_s, []
+    for p, (lx, ly, top_x, top_y) in enumerate(pairs):
+        px, py = 0.0 + lx * x, 0.0 + ly * y
+        for lines_i, span_i in zip(lines, span_x):
+            for terms, span_j in zip(lines_i, span_y):
+                qx, qy = px, py
+                for w in terms:
+                    qx, qy = qx + w, qy + w
+                if qx + top_x > 0 or qy + top_y > 0:
+                    summed += [(c, qx, qy) for i in span_i for j in span_j
+                               if cells[c := i * ns + j][0] == p]
+    summed.sort()
+    ltl, fired, mcl = _unit_ids(net.n_q, ns)[2], [], [0.0, 0.0]
+    for c, *prefix in summed:
+        for axis, q, a in zip((0, 1), prefix, cells[c][1:]):
+            if (v := q + a) > 0:
+                fired.append((ltl[c] + axis, v))
+                mcl[axis] += v
+    return NetState(state.mode, tuple(v if v > 0 else 0.0 for v in mcl), corner,
+                    _net=net, fired=tuple(fired))
 
 
 def _sparse_step(net: Network, state: NetState) -> NetState:
-    """The exact step computing only what can be nonzero, on the kernel.
-
-    The BSL staircase corner is the grid cell of the MCL, closed at x = 1
-    and y = 1 where every BSL unit of the axis is on; the corner's LTL pair
-    is the only one that can fire, and the MCL takes its outputs, ramped.
-    Equal to ``_dense_sweep`` on every MCL in [0, 1]^2; outside, where that
-    is not proven, raises CellRangeError."""
+    """The exact step on the kernel: the corner is the MCL's grid cell,
+    closed at x = 1 and y = 1, and only its LTL pair can fire.  Equal to the
+    dense sweep on every MCL in [0, 1]^2; outside, where that is not
+    proven, raises CellRangeError."""
     if state._net is not net:  # a state of another network
         state = initial_state(net, state.mcl)
     corner, s = state.kernel.step(state.scaled, net=True)
@@ -397,19 +394,21 @@ def is_halted(net: Network, state: NetState) -> bool:
 
 
 def bsl_pattern(net: Network, state: NetState) -> tuple[int, ...]:
-    return tuple(1 if state.values[u] else 0 for u in net._bsl_ids)
+    """The BSL staircase, x units then y units: on up to the corner."""
+    pattern = []
+    for ids, k in zip(_unit_ids(net.n_q, net.n_s), state.corner or (-1, -1)):
+        pattern += [1] * (k + 1) + [0] * (len(ids) - 1 - k)
+    return tuple(pattern)
 
 
 def active_cell(net: Network, state: NetState) -> tuple[int, int] | None:
     """Cell of the positive LTL pair, None if all LTL units are silent."""
     if state.mode == "exact":  # the corner pair outputs the MCL, the rest are silent
         return state.corner if state.scaled[0] > 0 or state.scaled[2] > 0 else None
-    cells = {net.units[u].cell for u in net._ltl_ids if state.values[u] > 0}
-    if not cells:
-        return None
+    cells = {divmod((u - net.ltl_ids(0, 0)[0]) // 2, net.n_s) for u, _ in state.fired}
     if len(cells) > 1:
         raise ValueError(f"multiple active LTL cells: {sorted(cells)}")
-    return cells.pop()
+    return cells.pop() if cells else None
 
 
 @dataclass(frozen=True)
@@ -434,14 +433,13 @@ def run_network(net: Network, s0: NetState, max_steps: int) -> NetTrace:
 def net_trace_rows(net: Network, trace: NetTrace) -> list[dict]:
     """CSV rows: exact values as num/den, floats with 17 significant digits."""
     rows = []
-    last = len(trace.states) - 1
     for t, s in enumerate(trace.states):
         cx, cy = (rat_str(v) if s.mode == "exact" else f"{v:.17g}" for v in s.mcl)
         cell = active_cell(net, s)
         rows.append({"step": t, "c_x": cx, "c_y": cy,
                      "active_cell_i": "" if cell is None else cell[0],
                      "active_cell_j": "" if cell is None else cell[1],
-                     "halted": trace.halted and t == last})
+                     "halted": trace.halted and t == trace.steps})
     return rows
 
 

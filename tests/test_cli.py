@@ -25,7 +25,7 @@ from tm2net.encode import encode_config
 from tm2net.machine import Config, initial_config, parse_machine, run_tm
 from tm2net.nda import Branch, Nda, build_nda
 
-from util import compare_per_step, random_input, random_machine
+from util import bench_run, compare_per_step, random_input, random_machine
 
 
 def read_csv(path):
@@ -140,6 +140,7 @@ def test_run_float64_reports_the_float_run(flip, flip_path, capsys, word):
     trace = network.run_network(net, network.initial_state(net, pt, "float64"), 1000)
     assert (doc["steps"], doc["halted"]) == (trace.steps, trace.halted)
     assert list(doc["final_float"]) == list(trace.final.mcl)
+    assert doc["cell_divergence_step"] == 2
 
 
 def test_run_float64_names_a_fixed_point_not_a_halt(flip_path, tmp_path, capsys):
@@ -163,7 +164,29 @@ def test_run_float64_reports_divergence(flip_path, capsys):
     assert main(["run", str(flip_path), "01010101", "--level", "net",
                  "--mode", "float64", "--max-steps", "50"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "divergence from exact trace: step" in out
+    assert "divergence from exact trace: step 1\n" in out
+    assert "cell divergence from exact trace: step 2\n" in out
+
+
+@pytest.mark.parametrize("name, bitwise, cell", [
+    ("flip-long", 1, 2), ("counter-wide", 1, 2), ("bb5-prefix", 2, 560)])
+def test_float64_cell_divergence_of_the_bench_runs(name, bitwise, cell):
+    # a blank tail puts a point on its cell's grid line, where the float
+    # network rounds to either side: the rounding appears at once, the
+    # wrong cell one or many steps later
+    m, word, budget = bench_run(name)
+    report, _ = run_level(m, word, "net", budget, mode="float64")
+    assert (report.divergence_step, report.cell_divergence_step) == (bitwise, cell)
+
+
+def test_float64_run_builds_no_weights_units_or_activation_vector(flip_path, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("built without --trace")
+
+    for name in ("_wire", "_layout_units", "_values"):
+        monkeypatch.setattr(network, name, forbidden)
+    assert main(["run", str(flip_path), "0110", "--level", "net",
+                 "--mode", "float64"]) == EXIT_OK
 
 
 def test_run_json_format(flip_path, capsys):

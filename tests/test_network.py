@@ -16,7 +16,6 @@ from tm2net.network import (
     LTL_X,
     LTL_Y,
     NetworkFormatError,
-    _dense_sweep,
     active_cell,
     bsl_pattern,
     build_network,
@@ -30,7 +29,18 @@ from tm2net.network import (
     unit_count,
 )
 
-from util import corrupt, fraction_step, machine_with_sizes, random_input, random_machine
+from util import (
+    bench_run,
+    bsl_ids,
+    corrupt,
+    dense_sweep,
+    fraction_step,
+    in_edges,
+    ltl_ids,
+    machine_with_sizes,
+    random_input,
+    random_machine,
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +52,12 @@ def ltl_input_sums(net, state):
     """B contribution per cell as the LTL units actually receive it."""
     half = net.h / 2
     sums = {}
-    pattern = {u: state.values[u] for u in net._bsl_ids}
+    pattern = {u: state.values[u] for u in bsl_ids(net)}
     for i in range(net.n_x_cells):
         for j in range(net.n_y_cells):
             tx, _ = net.ltl_ids(i, j)
             total = Fraction(0)
-            for src, w in net._in_edges[tx]:
+            for src, w in in_edges(net)[tx]:
                 if net.units[src].kind in (BSL_X, BSL_Y) and pattern[src]:
                     total += w
             sums[(i, j)] = total
@@ -138,7 +148,7 @@ def test_one_hot_ltl(flip, flip_net):
     for _ in range(4):
         s = net_step(flip_net, s)
         positive = {flip_net.units[u].cell
-                    for u in flip_net._ltl_ids if s.values[u] > 0}
+                    for u in ltl_ids(flip_net) if s.values[u] > 0}
         assert len(positive) <= 1
 
 
@@ -158,7 +168,7 @@ def test_all_ltl_zero_when_image_is_origin():
     # ([qb], []) steps to ([qa], []), which encodes to the origin: every LTL
     # unit lands exactly at 0 and the MCL correctly becomes (0, 0)
     assert s1.mcl == (Fraction(0), Fraction(0))
-    assert all(s1.values[u] == 0 for u in net._ltl_ids)
+    assert all(s1.values[u] == 0 for u in ltl_ids(net))
     s2 = net_step(net, s1)
     assert s2.mcl == (Fraction(2, 3), Fraction(0))
 
@@ -219,7 +229,7 @@ def test_exact_mode_types(flip, flip_net):
 def assert_sparse_matches_dense(net, state):
     """One exact step equals the dense exact sweep on the whole vector."""
     nxt = net_step(net, state)
-    dense = _dense_sweep(net, state.values, exact=True)
+    dense = dense_sweep(net, state.values, exact=True)
     assert nxt.values == dense
     assert [type(v) for v in nxt.values] == [type(v) for v in dense]
     return nxt
@@ -261,7 +271,7 @@ def tight_ltl_unit(net):
         mcl = 0 if net.units[t].kind == LTL_X else 1
         return net.weight(net.bias_id, t) + net.h + net.weight(mcl, t)
 
-    return next(t for t in net._ltl_ids if a_plus_lambda(t) == net.h / 2)
+    return next(t for t in ltl_ids(net) if a_plus_lambda(t) == net.h / 2)
 
 
 def with_offset(net, t, delta):
@@ -303,14 +313,62 @@ def test_exact_step_rejects_mcl_outside_unit_square(flip_net, x, y):
 
 
 def test_exact_run_and_rows_build_no_activation_vector(flip):
-    net = build_network(build_nda(flip))
-    c0 = initial_config(flip, "0110")
-    trace = run_network(net, initial_state(net, encode_config(flip, c0)), 50)
-    net_trace_rows(net, trace)
-    assert all(s._values is None for s in trace.states)
-    # nor the weight dict or the edge table
-    assert "weights" not in vars(net) and "_in_edges" not in vars(net)
-    assert trace.states[1].values[0] == trace.states[1].mcl[0]
+    # nor does a float64 run: its states hold the MCL, corner and fired units
+    for mode in ("exact", "float64"):
+        net = build_network(build_nda(flip))
+        c0 = initial_config(flip, "0110")
+        trace = run_network(net, initial_state(net, encode_config(flip, c0), mode), 50)
+        net_trace_rows(net, trace)
+        assert all(s._values is None for s in trace.states)
+        # nor the weight dict or the unit list
+        assert "weights" not in vars(net) and "units" not in vars(net)
+        assert trace.states[1].values[0] == trace.states[1].mcl[0]
+
+
+def assert_float_matches_dense(net, state):
+    """One float64 step equals the dense float64 sweep on the whole vector,
+    and the staircase and active cell read off the state agree with it."""
+    nxt = net_step(net, state)
+    dense = dense_sweep(net, state.values, exact=False)
+    assert nxt.values == dense
+    assert [type(v) for v in nxt.values] == [type(v) for v in dense]
+    assert bsl_pattern(net, nxt) == tuple(dense[u] for u in bsl_ids(net))
+    cells = {net.units[u].cell for u in ltl_ids(net) if dense[u] > 0}
+    if len(cells) > 1:
+        with pytest.raises(ValueError, match="multiple active LTL cells"):
+            active_cell(net, nxt)
+    else:
+        assert active_cell(net, nxt) == (cells.pop() if cells else None)
+    return nxt
+
+
+@settings(max_examples=40, deadline=None)
+# random_machine(Random(0)) has a 12 x 3 grid; from these starts two cells fire
+@example(random.Random(0), Fraction(0), Fraction(13, 10))
+@example(random.Random(0), Fraction(6, 5), Fraction(7, 10))
+@given(st.randoms(use_true_random=False),
+       st.fractions(min_value=0, max_value=4, max_denominator=60),
+       st.fractions(min_value=0, max_value=4, max_denominator=60))
+def test_float_step_equals_the_dense_float_sweep(rng, x, y):
+    # every step, from an encoded start, off the lattice in [0, 1]^2 and
+    # outside it, where cells other than the corner's are summed
+    m = random_machine(rng)
+    net = build_network(build_nda(m))
+    pt = encode_config(m, initial_config(m, random_input(rng, m)))
+    for start in (pt, Point(x / 4, y / 4), Point(x, y)):
+        s = initial_state(net, start, "float64")
+        for _ in range(12):
+            s = assert_float_matches_dense(net, s)
+
+
+@pytest.mark.parametrize("name", ["flip-long", "counter-wide", "bb5-prefix"])
+def test_bench_float_runs_equal_the_dense_float_sweep(name):
+    m, word, budget = bench_run(name)
+    net = build_network(build_nda(m))
+    pt = encode_config(m, initial_config(m, word))
+    trace = run_network(net, initial_state(net, pt, "float64"), budget)
+    for state, nxt in zip(trace.states, trace.states[1:]):
+        assert nxt.values == dense_sweep(net, state.values, exact=False)
 
 
 def test_weights_beyond_float64_run_exactly_and_fail_in_float64(flip, flip_net):

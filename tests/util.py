@@ -1,14 +1,19 @@
-"""Shared test helpers: deterministic random machines, inputs, configs."""
+"""Shared test helpers: deterministic random machines, inputs, configs,
+the benchmark's runs, and the oracles the fast steps replaced."""
 
 from __future__ import annotations
 
 import random
+import runpy
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 from tm2net.encode import Point
-from tm2net.machine import Config, TuringMachine, canonical_config
+from tm2net.machine import Config, TuringMachine, canonical_config, parse_machine
 from tm2net.nda import Branch, CellRangeError, Nda
+from tm2net.network import BSL_X, BSL_Y, LTL_X, LTL_Y
 
 MOVES = ("L", "R")
 
@@ -160,3 +165,54 @@ def compare_per_step(m: TuringMachine, word, max_steps: int, auto=None, net=None
             pt = fraction_step(auto, pt)
             state = network.net_step(net, state)
     return cli.CompareResult(True, steps, tm_trace.halted)
+
+
+@lru_cache(maxsize=8)
+def in_edges(net, exact: bool = True) -> tuple:
+    """Per unit, its (source, weight) in-edges by source id, from the weight
+    dict; float64 weights for ``exact=False``."""
+    incoming = [[] for _ in range(net.n_units)]
+    for (src, dst), w in sorted(net.weights.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+        incoming[dst].append((src, w if exact else float(w)))
+    return tuple(tuple(edges) for edges in incoming)
+
+
+def bsl_ids(net) -> tuple[int, ...]:
+    return tuple(u.id for u in net.units if u.kind in (BSL_X, BSL_Y))
+
+
+def ltl_ids(net) -> tuple[int, ...]:
+    return tuple(u.id for u in net.units if u.kind in (LTL_X, LTL_Y))
+
+
+def dense_sweep(net, values: tuple, exact: bool) -> tuple:
+    """One machine step as a three-phase sweep over every in-edge, the
+    network's definition and the oracle of both modes' ``net_step``.
+
+    Phase 1 re-thresholds the BSL against the current MCL, phase 2 lets the
+    LTL read MCL, BSL and bias, phase 3 writes the LTL sums back into the
+    MCL through the ramp.
+    """
+    edges = in_edges(net, exact)
+    zero = Fraction(0) if exact else 0.0
+    vals = list(values)
+    # MCL values are untouched until phase 3, so reading `vals` below always
+    # sees old MCL and (in phase 2) fresh BSL.
+    for ids in (bsl_ids(net), ltl_ids(net), (0, 1)):
+        heaviside = net.units[ids[0]].kind in (BSL_X, BSL_Y)
+        for u in ids:
+            total = zero
+            for src, w in edges[u]:
+                v = vals[src]
+                if v:
+                    total = total + w * v
+            vals[u] = (1 if total >= 0 else 0) if heaviside else (total if total > 0 else zero)
+    return tuple(vals)
+
+
+def bench_run(name: str, seed: int = 1):
+    """The machine, input word and step budget of the benchmark workload
+    ``name`` at ``seed``, read from ``bench/workloads.py``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    w = runpy.run_path(str(path))["WORKLOADS"][name]
+    return parse_machine(w.machine.read_text()), tuple(w.word(seed)), w.budget
