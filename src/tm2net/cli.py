@@ -20,7 +20,7 @@ import dataclasses
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from . import encode, gshift, machine, nda, network
@@ -190,55 +190,74 @@ class CompareResult:
     halted: bool
     mismatch: tuple[int, str, str, Point, Point] | None = None
     # (step, reference level, deviating level, reference point, other point)
+    branch: tuple | None = field(default=None, compare=False)
+    # the deviating level's (cell, ((lambda_x, a_x), (lambda_y, a_y))) on its
+    # step into the mismatch; None for gs and at step 0
 
 
 def compare_levels(m: TuringMachine, word, max_steps: int,
                    auto: nda.Nda | None = None,
                    net: network.Network | None = None) -> CompareResult:
     """Run all four levels in lockstep (exact mode), keeping one state each,
-    and compare every step: gs with tm on configurations, nda and net with
-    tm's point, which follows tm's transitions (``encode.successor_point``)
-    and must be the encoding of tm's last configuration.  If a check fails,
-    a replay that encodes tm's every configuration names the first divergent
-    step.  ``auto``/``net`` let tests inject corrupted systems.
+    and compare every step (``_lockstep``), with no Fraction built per step;
+    tm's point, kept on integers along tm's transitions, must then be the
+    encoding of tm's last configuration.  If a check fails, a replay that
+    encodes tm's every configuration names the first divergent step.
+    ``auto``/``net`` let tests inject corrupted systems.
     """
     tm_run = Run(partial(machine.tm_successor, m), initial_config(m, word), max_steps)
     auto = auto if auto is not None else nda.build_nda(m)
     systems = (m, tm_run, gshift.build_gshift(m), auto,
                net if net is not None else network.build_network(auto))
-    mismatch, point = _lockstep(*systems,
-                                lambda prev, pt, c: encode.successor_point(m, prev, pt))
-    if mismatch is None and encode_config(m, tm_run.final) == point:
+    mismatch, _, digits = _lockstep(*systems)
+    # equal integers are equal points; unequal ones leave the verdict to the replay
+    if mismatch is None and encode.config_digits(m, tm_run.final) == digits:
         return CompareResult(True, tm_run.steps, tm_run.halted)
-    mismatch, _ = _lockstep(*systems, lambda prev, pt, c: encode_config(m, c))
+    mismatch, branch, _ = _lockstep(*systems, replay=True)
     for _ in tm_run:  # the whole tm run gives the steps and the verdict
         pass
-    return CompareResult(mismatch is None, tm_run.steps, tm_run.halted, mismatch)
+    return CompareResult(mismatch is None, tm_run.steps, tm_run.halted, mismatch, branch)
 
 
-def _lockstep(m, tm_run, gs, auto, net, reference):
-    """Step gs, nda and net beside ``tm_run`` and compare every step, with
-    ``reference(prev, pt, c)`` as tm's point at configuration ``c`` after
-    ``prev`` at ``pt``; returns the first mismatch or None, and that point.
-    nda and net step on kernel states, which are compared with tm's point
-    without building a Fraction."""
+def _lockstep(m, tm_run, gs, auto, net, replay=False):
+    """Step gs, nda and net beside ``tm_run`` and compare every step: gs with
+    tm's configuration, and nda's and net's kernel states with tm's point on
+    integers (``encode.successor_digits``) in the kernel's form, a tuple
+    comparison, or with a ``replay`` their Fraction points with tm's encoded
+    configuration.  Returns the first mismatch and its branch (as in
+    ``CompareResult``), or None twice, and tm's point on integers."""
     gs_c = tm_run.s0
     point = encode_config(m, gs_c)
     kernel, s = auto.kernel.fit(point)
     state = network.initial_state(net, point)
+    digits, cell = encode.config_digits(m, gs_c), None
     for t, tm_c in enumerate(tm_run):
-        if t:
-            point = reference(prev, point, tm_c)
+        if t:  # powers of n_s depend on n_s alone: the kernel's cache serves tm's point
+            digits = encode.successor_digits(m, prev, digits, kernel.powers)
             gs_c = gshift.gs_step(gs, gs_c)
-            s = kernel.step(s)[1]  # as nda_step: halt cells step too
+            cell, s = kernel.step(s)  # as nda_step: halt cells step too
             state = network.net_step(net, state)
         if gs_c != tm_c:  # both canonical, so equal exactly when their points are
-            return (t, "tm", "gs", encode_config(m, tm_c), encode_config(m, gs_c)), point
-        for level, k, got in (("nda", kernel, s), ("net", state.kernel, state.scaled)):
-            if not k.equals(got, point):
-                return (t, "tm", level, point, k.point(got)), point
+            return (t, "tm", "gs", encode_config(m, tm_c), encode_config(m, gs_c)), None, digits
+        if replay:
+            point = encode_config(m, tm_c)
+        for level, k, got, at in (("nda", kernel, s, cell),
+                                  ("net", state.kernel, state.scaled, state.corner)):
+            if k.point(got) != point if replay else k.of_digits(digits) != got:
+                want = point if replay else k.point(k.of_digits(digits))
+                return (t, "tm", level, want, k.point(got)), _branch(auto, net, level, at), digits
         prev = tm_c
-    return None, point
+    return None, None, digits
+
+
+def _branch(auto, net, level: str, cell) -> tuple | None:
+    """(cell, ((lambda_x, a_x), (lambda_y, a_y))) in ``level``'s own table."""
+    if cell is None:
+        return None
+    if level == "net":
+        return cell, net.branch_params[cell[0] * net.n_s + cell[1]]
+    b = auto.branches[cell]
+    return cell, ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y))
 
 
 def _load_machine(path: str) -> TuringMachine:
@@ -336,12 +355,22 @@ def cmd_compare(args) -> int:
         print(f"all levels agree over {result.steps} steps ({status})")
         return EXIT_OK
     t, ref, level, want, got = result.mismatch
-    print(
-        f"mismatch at step {t} between {ref} and {level}: "
-        f"{ref}=({rat_str(want.x)}, {rat_str(want.y)}) "
-        f"{level}=({rat_str(got.x)}, {rat_str(got.y)})",
-        file=sys.stderr,
-    )
+    lines = [f"mismatch at step {t} between {ref} and {level}: "
+             f"{ref}=({rat_str(want.x)}, {rat_str(want.y)}) "
+             f"{level}=({rat_str(got.x)}, {rat_str(got.y)})"]
+    for name, pt in ((ref, want), (level, got)):
+        try:
+            c = encode.decode_point(m, pt)
+            lines.append(f"{name} configuration: state {c.state}, tape {tape_string(m, c)!r}, "
+                         f"head on symbol {len(c.alpha) - 1}, window (X, q, Z) = "
+                         f"({', '.join(gshift.window(m, c))})")
+        except EncodingError as exc:
+            lines.append(f"{name} configuration: does not decode ({exc})")
+    if result.branch is not None:
+        (i, j), params = result.branch
+        lines.append(f"{level} stepped from cell ({i}, {j}) by branch (lambda_x, a_x, lambda_y, "
+                     f"a_y) = ({', '.join(rat_str(v) for pair in params for v in pair)})")
+    print("\n".join(lines), file=sys.stderr)
     return EXIT_MISMATCH
 
 

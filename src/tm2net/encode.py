@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from typing import Iterable, NamedTuple
 
@@ -149,20 +150,41 @@ def affine_shift_right(v: Fraction, new_digit: int, base: int) -> Fraction:
     return Fraction(v.numerator + new_digit * v.denominator, v.denominator * base)
 
 
-def successor_point(m: TuringMachine, c: Config, pt: Point) -> Point:
-    """The point of ``c``'s successor, from ``pt``, the point of ``c``, by the
-    elementary digit maps along ``c``'s transition: no digit loop.  ``c``
-    must not halt."""
+def config_digits(m: TuringMachine, c: Config) -> tuple[int, int, int, int, int]:
+    """A canonical ``c``'s point on integers, (q, X, k_x, Y, k_y) with
+    x = (q + X/n_s**k_x)/n_q and y = Y/n_s**k_y: no trailing zero digit."""
+    x, y = (reduce(lambda n, s: n * m.n_symbols + m.symbol_index(s), half, 0)
+            for half in (c.alpha[1:], c.beta))
+    return m.state_index(c.state), x, len(c.alpha) - 1, y, len(c.beta)
+
+
+def successor_digits(m: TuringMachine, c: Config, r: tuple, pw: list[int]) -> tuple:
+    """``config_digits`` of ``c``'s successor from ``r``, that of ``c``, by
+    the elementary digit maps along ``c``'s transition, each one multiply-add
+    with ``pw``, the cached powers of n_s (extended here).  ``c`` must not
+    halt.  On an ``r`` that is not ``c``'s they act exactly, as ``affine_*``."""
     left, q, read = window(m, c)
     q2, b, move = m.delta[(q, read)]
-    nq, ns = m.n_states, m.n_symbols
-    gq, gs = m.state_index, m.symbol_index
-    x = affine_shift_left(pt.x, gq(q), nq)  # drop the state digit
+    ns, gs = m.n_symbols, m.symbol_index
+    qd, x, kx, y, ky = r
+    while len(pw) <= max(kx, ky) + 1:
+        pw.append(pw[-1] * ns)
+    qd -= m.state_index(q)  # drop the state digit; the tail keeps the rest, 0 on c's point
     if move == "R":
-        x = affine_shift_right(x, gs(b), ns)  # push the written symbol
-        y = affine_shift_left(pt.y, gs(read), ns)  # consume the read symbol
+        x, kx = _affine(x, kx, -1, qd + gs(b), 1, ns, pw)  # push the written symbol
+        y, ky = _affine(y, ky, 1, -gs(read), 0, ns, pw)  # consume the read symbol
     else:
-        x = affine_shift_left(x, gs(left), ns)  # drop the left neighbour
-        y = affine_substitute(pt.y, 1, gs(read), gs(b), ns)  # overwrite under the head
-        y = affine_shift_right(y, gs(left), ns)  # the left neighbour slides right
-    return Point(affine_shift_right(x, gq(q2), nq), y)  # push the new state
+        x, kx = _affine(x, kx, 1, qd * ns - gs(left), 0, ns, pw)  # drop the left neighbour
+        # overwrite under the head, then the left neighbour slides right
+        y, ky = _affine(y, ky, -1, gs(left) * ns + gs(b) - gs(read), 2, ns, pw)
+    return m.state_index(q2), x, kx, y, ky  # push the new state
+
+
+def _affine(n: int, k: int, e: int, d: int, j: int, ns: int, pw: list[int]) -> tuple[int, int]:
+    """n/ns**k times ns**e plus d/ns**j, as (n', k') with no trailing zero digit."""
+    k -= e
+    top = k if k > j else j
+    n = (n * pw[top - k] if top > k else n) + d * pw[top - j]
+    while top and not n % ns:
+        n, top = n // ns, top - 1
+    return n, top

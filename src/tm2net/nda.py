@@ -188,8 +188,10 @@ class Kernel:
     def __init__(self, n_q: int, n_s: int, cells):
         """``cells`` yields (i*n_s + j, ((lambda_x, a_x), (lambda_y, a_y)))."""
         self.ns, self.shape, self.powers = n_s, (n_q * n_s, n_s), [1]
+        self.f = _free(n_q, n_s)
+        self.u, self.e = _scaled(1, n_q, self.f, n_s)  # 1/n_q = u/(f*ns**e)
         exponent = {Fraction(1, n_s): -1, 1: 0, n_s: 1}
-        c, table = [_free(n_q, n_s), 1], [0, 0, 1] * (2 * n_q * n_s * n_s)
+        c, table = [self.f, 1], [0, 0, 1] * (2 * n_q * n_s * n_s)
         for u, params in cells:
             for v, (lam, a) in zip((6 * u, 6 * u + 3), params):
                 if lam not in exponent:
@@ -246,14 +248,15 @@ class Kernel:
     def point(self, s: tuple) -> Point:
         return Point(*(Fraction(n, d) for n, d in self.ratios(s)))
 
-    def equals(self, s: tuple, pt: Point) -> bool:
-        """Whether ``s`` is ``pt`` without a gcd: N/D is the reduced p/d
-        exactly when D = q*d and N = q*p."""
-        for (n, d), v in zip(self.ratios(s), pt):
-            q, r = divmod(d, v.denominator)
-            if r or n != q * v.numerator:
-                return False
-        return True
+    def of_digits(self, r: tuple) -> tuple:
+        """The state of ``r``, a point in ``encode.config_digits``'s form, no
+        gcd: 1/n_q = u/(f*ns**e) and f divides c, so x = (q + X/ns**k_x)/n_q
+        is (q*ns**k_x + X)*u*(c/f)/(c*ns**(k_x + e))."""
+        q, x, kx, y, ky = r
+        n, k = (q * self._powers(kx)[kx] + x) * (self.c[0] // self.f * self.u), kx + self.e
+        while k and not n % self.ns:
+            n, k = n // self.ns, k - 1
+        return n, k, y * self.c[1], ky
 
     def key(self, s: tuple) -> tuple:
         """The state's point in integers free of c: per axis N and c over

@@ -369,7 +369,13 @@ def test_compare_reports_the_mismatch_of_the_per_step_compare(flip, monkeypatch,
     word = tuple("0110101")
     want = compare_per_step(flip, word, 50, **inject)
     assert not want.ok and want.mismatch[0] > 0
-    assert compare_levels(flip, word, 50, **inject) == want
+    got = compare_levels(flip, word, 50, **inject)
+    assert got == want
+    if "auto" in inject:  # the deviating level stepped from the corrupted cell, by its own table
+        b = inject["auto"].branches[2, 2]
+        assert got.branch == ((2, 2), ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y)))
+    elif inject:
+        assert got.branch == ((2, 2), inject["net"].branch_params[2 * 3 + 2])
 
 
 @settings(max_examples=40, deadline=None)
@@ -406,6 +412,23 @@ def test_a_passing_compare_encodes_a_constant_number_of_times(flip, monkeypatch)
     assert counts[0] == counts[1] <= 2
 
 
+def test_a_passing_compare_builds_a_constant_number_of_fractions(flip, monkeypatch):
+    calls = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(cls)
+        return real(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    counts = []
+    for n in (10, 200):
+        calls.clear()
+        result = compare_levels(flip, ("0", "1") * n, 10 * n)
+        assert result.ok and result.steps == 2 * n + 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_compare_cli_exit_3_on_corruption(flip_path, monkeypatch, capsys):
     import tm2net.cli as cli_mod
 
@@ -417,6 +440,32 @@ def test_compare_cli_exit_3_on_corruption(flip_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod.nda, "build_nda", corrupted)
     assert main(["compare", str(flip_path), "01"]) == EXIT_MISMATCH
     assert "mismatch at step 1" in capsys.readouterr().err
+
+
+def test_compare_mismatch_report_names_window_branch_and_configurations(
+        flip_path, monkeypatch, capsys):
+    # cell (0, 1) steps FLIP's start on "01"; its x offset 1/3 became 4/3
+    real_build = cli.nda.build_nda
+    monkeypatch.setattr(cli.nda, "build_nda", lambda m: corrupt_branch(real_build(m), (0, 1)))
+    assert main(["compare", str(flip_path), "01"]) == EXIT_MISMATCH
+    assert capsys.readouterr().err.splitlines() == [
+        "mismatch at step 1 between tm and nda: tm=(1/3, 2/3) nda=(4/3, 2/3)",
+        "tm configuration: state q0, tape '11', head on symbol 1, window (X, q, Z) = (1, q0, 1)",
+        "nda configuration: does not decode (value 4/3 outside [0, 1))",
+        "nda stepped from cell (0, 1) by branch (lambda_x, a_x, lambda_y, a_y) = "
+        "(1/3, 4/3, 3/1, -1/1)",
+    ]
+
+
+def test_compare_mismatch_report_decodes_a_deviating_configuration(flip_path, monkeypatch,
+                                                                    capsys):
+    # a shift that never moves: gs keeps the start configuration, and gs has no branch
+    monkeypatch.setattr(cli.gshift, "gs_step", lambda g, c: c)
+    assert main(["compare", str(flip_path), "01"]) == EXIT_MISMATCH
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "tm configuration: state q0, tape '11', head on symbol 1, window (X, q, Z) = (1, q0, 1)",
+        "gs configuration: state q0, tape '01', head on symbol 0, window (X, q, Z) = (_, q0, 0)",
+    ]
 
 
 def test_compare_random_suite_small():

@@ -12,6 +12,7 @@ from tm2net.encode import (
     affine_shift_left,
     affine_shift_right,
     affine_substitute,
+    config_digits,
     decode_left,
     decode_point,
     decode_right,
@@ -21,9 +22,11 @@ from tm2net.encode import (
     godel_value,
     parse_rat,
     rat_str,
-    successor_point,
+    successor_digits,
 )
+from tm2net.gshift import window
 from tm2net.machine import initial_config, run_tm, tm_step
+from tm2net.nda import build_nda, derive_branch
 
 from util import random_config, random_input, random_machine
 
@@ -192,17 +195,34 @@ def test_value_over_power_of_base_has_exactly_that_many_digits(flip, k):
     assert encode_right(flip, right) == value
 
 
+@pytest.mark.parametrize("shape", [None, (6, 2), (4, 2), (3, 2), (5, 3)],
+                         ids=["random", "6x2", "4x2", "3x2", "5x3"])
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.integers(0, 60))
-def test_successor_point_keeps_the_encoding_of_every_configuration(seed, max_steps):
+def test_successor_digits_keep_the_encoding_of_every_configuration(shape, seed, max_steps):
+    # n_q sharing a prime with n_s (6x2, 4x2) puts the kernel's x scale off a
+    # power of n_s; 3x2 and 5x3 share none
     rng = random.Random(seed)
-    m = random_machine(rng)
+    m = random_machine(rng, shape=shape)
+    kernel, pw = build_nda(m).kernel, [1]
+    wide = kernel.fit(Point(Fraction(1, 7), Fraction(1, 7)))[0]  # c = (7*c_x, 7)
+
+    def assert_encodes(r, c):
+        assert r == config_digits(m, c)
+        for k in (kernel, wide):
+            assert k.of_digits(r) == k.fit(encode_config(m, c))[1]
+            assert k.point(k.of_digits(r)) == encode_config(m, c)
     # a run from the start, and one step from an arbitrary configuration
     configs = run_tm(m, initial_config(m, random_input(rng, m, 12)), max_steps).configs
-    pt = encode_config(m, configs[0])
+    r = config_digits(m, configs[0])
+    assert_encodes(r, configs[0])
     for prev, c in zip(configs, configs[1:]):
-        pt = successor_point(m, prev, pt)
-        assert pt == encode_config(m, c)
-    c = random_config(rng, m)
+        r = successor_digits(m, prev, r, pw)
+        assert_encodes(r, c)
+    c, other = random_config(rng, m), random_config(rng, m)
     if c.state not in m.halt_states:
-        assert successor_point(m, c, encode_config(m, c)) == encode_config(m, tm_step(m, c))
+        assert_encodes(successor_digits(m, c, config_digits(m, c), pw), tm_step(m, c))
+        # on another configuration's point the maps act as c's branch does
+        got = successor_digits(m, c, config_digits(m, other), pw)
+        want = derive_branch(m, window(m, c)).apply(encode_config(m, other))
+        assert kernel.point(kernel.of_digits(got)) == want

@@ -35,10 +35,10 @@ def halt_reachable(m: TuringMachine) -> bool:
 
 
 def random_machine(rng: random.Random, max_states: int = 4,
-                   max_symbols: int = 4) -> TuringMachine:
-    """Uniform transition targets; guaranteed at least one reachable halt state."""
-    n_q = rng.randint(1, max_states)
-    n_s = rng.randint(2, max_symbols)
+                   max_symbols: int = 4, shape: tuple[int, int] | None = None) -> TuringMachine:
+    """Uniform transition targets; guaranteed at least one reachable halt
+    state.  ``shape`` fixes (n_q, n_s), otherwise drawn up to the maxima."""
+    n_q, n_s = shape or (rng.randint(1, max_states), rng.randint(2, max_symbols))
     states = tuple(f"q{i}" for i in range(n_q))
     symbols = ("_",) + tuple(f"s{i}" for i in range(1, n_s))
     if n_q == 1:
