@@ -241,10 +241,14 @@ def _lockstep(m, tm_run, gs, auto, net, replay=False):
             return (t, "tm", "gs", encode_config(m, tm_c), encode_config(m, gs_c)), None, digits
         if replay:
             point = encode_config(m, tm_c)
+        else:  # tm's state in the nda's kernel, which a machine's network shares
+            want = kernel.of_digits(digits)
         for level, k, got, at in (("nda", kernel, s, cell),
                                   ("net", state.kernel, state.scaled, state.corner)):
-            if k.point(got) != point if replay else k.of_digits(digits) != got:
-                want = point if replay else k.point(k.of_digits(digits))
+            if not replay and k is not kernel:
+                want = k.of_digits(digits)
+            if k.point(got) != point if replay else want != got:
+                want = point if replay else k.point(want)
                 return (t, "tm", level, want, k.point(got)), _branch(auto, net, level, at), digits
         prev = tm_c
     return None, None, digits

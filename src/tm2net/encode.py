@@ -12,6 +12,7 @@ not approximation.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -45,9 +46,19 @@ class Point(NamedTuple):
 
 
 def rat_str(value) -> str:
-    """Serialize exactly as ``num/den`` (the only wire format for rationals)."""
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    """Serialize a Fraction or an int exactly as ``num/den`` (the only wire
+    format for rationals), at any size: the int-to-str digit limit
+    (``sys.get_int_max_str_digits``) bounds what ``parse_rat`` reads, not
+    what a report writes, so it is lifted for this conversion alone."""
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # more digits than the limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return f"{value.numerator}/{value.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def parse_rat(text: str) -> Fraction:

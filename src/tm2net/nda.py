@@ -11,11 +11,12 @@ map therefore commutes exactly with stepping the machine.
 from __future__ import annotations
 
 import copy
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import product
 from math import gcd, lcm
-from typing import Mapping
 
 from .encode import Point, rat_str
 from .gshift import Triple
@@ -114,42 +115,42 @@ class Branch:
         return (self.a_x, self.a_y, self.lambda_x, self.lambda_y) == (0, 0, 1, 1)
 
 
-def derive_branch(m: TuringMachine, triple: Triple) -> Branch:
-    """Closed-form branch parameters for one window.
+def transition_form(m: TuringMachine, q: str, z: str) -> tuple:
+    """The branches of the windows (X, q, Z), every X, in closed form.
 
     Composing the elementary Godel-value maps (drop/prepend a digit,
     substitute a digit) along the rewrite of the window gives, for a
     right move writing ``b`` and entering ``p``:
 
-        x' = x/ns + gq(p)/nq + gs(b)/(nq*ns) - gq(q)/(nq*ns)
+        x' = x/ns + (ns*gq(p) + gs(b) - gq(q))/(nq*ns)
         y' = ns*y - gs(Z)
 
     and for a left move (X the symbol left of the state):
 
-        x' = ns*x + gq(p)/nq - ns*gq(q)/nq - gs(X)/nq
-        y' = y/ns + gs(X)/ns + gs(b)/ns**2 - gs(Z)/ns**2
+        x' = ns*x + (gq(p) - ns*gq(q) - gs(X))/nq
+        y' = y/ns + (ns*gs(X) + gs(b) - gs(Z))/ns**2
 
     with gq, gs the enumerations and nq, ns the alphabet sizes.  Halt
-    windows get the identity.
+    windows get the identity.  Returns ((e, a0, a1, t) for x, the same for
+    y, the action): lambda = ns**e, and a = (a0 + a1*gs(X))/(nq*ns**t) on x
+    and (a0 + a1*gs(X))/ns**t on y.
     """
-    X, q, Z = triple
-    nq, ns = m.n_states, m.n_symbols
-    gq, gs = m.state_index, m.symbol_index
+    ns, gq, gs = m.n_symbols, m.state_index, m.symbol_index
     if q in m.halt_states:
-        return Branch(Fraction(0), Fraction(0), Fraction(1), Fraction(1),
-                      triple, None)
-    q2, b, move = m.delta[(q, Z)]
+        return (0, 0, 0, 0), (0, 0, 0, 0), None
+    q2, b, move = action = m.delta[(q, z)]
     if move == "R":
-        lam_x = Fraction(1, ns)
-        a_x = Fraction(gq(q2), nq) + Fraction(gs(b), nq * ns) - Fraction(gq(q), nq * ns)
-        lam_y = Fraction(ns)
-        a_y = Fraction(-gs(Z))
-    else:
-        lam_x = Fraction(ns)
-        a_x = Fraction(gq(q2), nq) - Fraction(ns * gq(q), nq) - Fraction(gs(X), nq)
-        lam_y = Fraction(1, ns)
-        a_y = Fraction(gs(X), ns) + Fraction(gs(b), ns ** 2) - Fraction(gs(Z), ns ** 2)
-    return Branch(a_x, a_y, lam_x, lam_y, triple, (q2, b, move))
+        return (-1, ns * gq(q2) + gs(b) - gq(q), 0, 1), (1, -gs(z), 0, 0), action
+    return (1, gq(q2) - ns * gq(q), -1, 0), (-1, gs(b) - gs(z), ns, 2), action
+
+
+def derive_branch(m: TuringMachine, triple: Triple) -> Branch:
+    """The branch of one window: ``transition_form`` at its X, in Fractions."""
+    X, q, Z = triple
+    (ex, x0, x1, tx), (ey, y0, y1, ty), action = transition_form(m, q, Z)
+    x, ns = m.symbol_index(X), m.n_symbols
+    return Branch(Fraction(x0 + x1 * x, m.n_states * ns ** tx), Fraction(y0 + y1 * x, ns ** ty),
+                  Fraction(ns) ** ex, Fraction(ns) ** ey, triple, action)
 
 
 def _free(d: int, ns: int) -> int:
@@ -173,6 +174,17 @@ def _scaled(p: int, d: int, c: int, ns: int) -> tuple[int, int] | None:
     return n, k
 
 
+class _Rows(dict):
+    """A kernel's rows by cell index, each made by ``derive`` on its first read."""
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __missing__(self, u: int) -> tuple:
+        self[u] = row = self.derive(u)
+        return row
+
+
 class Kernel:
     """One branch table's exact step on scaled integers.
 
@@ -180,27 +192,63 @@ class Kernel:
     N_y/(c_y*ns**k_y)); c_x and c_y are the parts of n_q and of the offsets'
     denominators (and of a start point's: ``fit``) free of ns's primes.  k is
     minimal, so equal points are equal states.  A branch (ns**e,
-    alpha/(c*ns**j)), six integers (e, alpha, j) per cell in ``table``, maps
-    N/(c*ns**k) to (N*ns**(K-k+e) + alpha*ns**(K-j))/(c*ns**K) with
-    K = max(k - e, j): per axis a product with a cached power and a sum.
+    alpha/(c*ns**j)), six integers (e, alpha, j) per axis in the cell's row
+    ``table[i*ns + j]``, maps N/(c*ns**k) to (N*ns**(K-k+e) +
+    alpha*ns**(K-j))/(c*ns**K) with K = max(k - e, j): per axis a product
+    with a cached power and a sum.
     """
 
     def __init__(self, n_q: int, n_s: int, cells):
-        """``cells`` yields (i*n_s + j, ((lambda_x, a_x), (lambda_y, a_y)))."""
+        """``cells`` yields (i*n_s + j, ((lambda_x, a_x), (lambda_y, a_y))) for
+        every cell; the whole table is built here."""
+        self._grid(n_q, n_s)
+        exponent = {Fraction(1, n_s): -1, 1: 0, n_s: 1}
+        c, raw = [self.f, 1], [((0, 0, 1),) * 2] * (n_q * n_s * n_s)
+        for u, params in cells:
+            raw[u] = []
+            for axis, (lam, a) in enumerate(params):
+                if lam not in exponent:
+                    raise ValueError(f"cell {divmod(u, n_s)}: lambda {lam} is not 1/n_s, 1 or n_s")
+                c[axis] = lcm(c[axis], _free(a.denominator, n_s))
+                raw[u].append((exponent[lam], a.numerator, a.denominator))
+        self.c = tuple(c)
+        self.table = [(ex, *_scaled(px, dx, c[0], n_s), ey, *_scaled(py, dy, c[1], n_s))
+                      for (ex, px, dx), (ey, py, dy) in raw]
+
+    @classmethod
+    def of_machine(cls, m: TuringMachine) -> Kernel:
+        """The kernel of ``build_nda(m)``'s table, without building the table.
+        Every offset's denominator divides n_q*ns**2, so c = (f, 1).  It keeps
+        one record per transition, ``transition_form`` with the x offsets
+        over n_q*ns**t put over f*ns**(t+e) (1/n_q = u/(f*ns**e)), and derives
+        a cell's row from it on the first step into the cell (``_row``)."""
+        kernel = cls.__new__(cls)
+        kernel._grid(m.n_states, m.n_symbols)
+        u, e = kernel.u, kernel.e
+        kernel.c, kernel.forms = (kernel.f, 1), [
+            ((ex, x0 * u, x1 * u, tx + e), y)
+            for q in m.states for z in m.tape_symbols
+            for (ex, x0, x1, tx), y, _ in [transition_form(m, q, z)]]
+        kernel.table = _Rows(kernel._row)
+        return kernel
+
+    def _grid(self, n_q: int, n_s: int) -> None:
         self.ns, self.shape, self.powers = n_s, (n_q * n_s, n_s), [1]
         self.f = _free(n_q, n_s)
         self.u, self.e = _scaled(1, n_q, self.f, n_s)  # 1/n_q = u/(f*ns**e)
-        exponent = {Fraction(1, n_s): -1, 1: 0, n_s: 1}
-        c, table = [self.f, 1], [0, 0, 1] * (2 * n_q * n_s * n_s)
-        for u, params in cells:
-            for v, (lam, a) in zip((6 * u, 6 * u + 3), params):
-                if lam not in exponent:
-                    raise ValueError(f"cell {divmod(u, n_s)}: lambda {lam} is not 1/n_s, 1 or n_s")
-                c[v % 6 // 3] = lcm(c[v % 6 // 3], _free(a.denominator, n_s))
-                table[v:v + 3] = exponent[lam], a.numerator, a.denominator
-        for v in range(0, len(table), 3):  # slot v is on axis v % 6 // 3
-            table[v + 1:v + 3] = _scaled(table[v + 1], table[v + 2], c[v % 6 // 3], n_s)
-        self.c, self.table = tuple(c), table
+
+    def _row(self, u: int) -> tuple:
+        """The row of cell ``u`` = (q*ns + X)*ns + Z, from its transition's
+        record at X: per axis (e, a0 + a1*X, t) without trailing zero digits."""
+        i, z = divmod(u, self.ns)
+        q, x = divmod(i, self.ns)
+        row = ()
+        for e, a0, a1, k in self.forms[q * self.ns + z]:
+            n = a0 + a1 * x
+            while k and not n % self.ns:
+                n, k = n // self.ns, k - 1
+            row += e, n, k
+        return row
 
     def _powers(self, k: int) -> list[int]:
         """The cached powers of ns, at least up to ns**k."""
@@ -218,8 +266,7 @@ class Kernel:
         closed at 1, and its ramp clips a coordinate at 0."""
         (nx, dx), (ny, dy) = self.ratios(s)
         i, j = cell = _cell(nx, dx, ny, dy, self.shape, net)
-        v = 6 * (i * self.ns + j)
-        ex, ax, jx, ey, ay, jy = self.table[v:v + 6]
+        ex, ax, jx, ey, ay, jy = self.table[i * self.ns + j]
         return cell, self._axis(s[0], s[1], ex, ax, jx, net) + self._axis(s[2], s[3], ey, ay, jy, net)
 
     def _axis(self, n: int, k: int, e: int, a: int, j: int, clip: bool) -> tuple[int, int]:
@@ -241,8 +288,8 @@ class Kernel:
             return self, xy[0] + xy[1]
         wide = copy.copy(self)
         wide.c = tuple(lcm(c, _free(v.denominator, self.ns)) for c, v in zip(self.c, pt))
-        wide.table = [a * wide.c[v % 6 // 3] // self.c[v % 6 // 3] if v % 3 == 1 else a
-                      for v, a in enumerate(self.table)]
+        wide.table = _Rows(partial(_widened, self.table, wide.c[0] // self.c[0],
+                                   wide.c[1] // self.c[1]))
         return wide.fit(pt)
 
     def point(self, s: tuple) -> Point:
@@ -265,6 +312,51 @@ class Kernel:
         return s[0] // gx, self.c[0] // gx, s[1], s[2] // gy, self.c[1] // gy, s[3]
 
 
+def _widened(table, rx: int, ry: int, u: int) -> tuple:
+    """Row ``u`` of ``table`` with c multiplied by (rx, ry), which are free of
+    ns's primes, so j stays minimal."""
+    ex, ax, jx, ey, ay, jy = table[u]
+    return ex, ax * rx, jx, ey, ay * ry, jy
+
+
+class Branches(Mapping):
+    """A machine's branch table, cell (i, j) to ``Branch``, derived by
+    ``derive_branch`` on every read: nothing is built per cell up front.
+    Iterating it gives every cell in row-major order.  ``kernel`` is the
+    table on scaled integers, filled per visited cell."""
+
+    def __init__(self, partition: Partition):
+        self.partition = partition
+
+    def __getitem__(self, cell: tuple[int, int]) -> Branch:
+        p, (i, j) = self.partition, cell
+        if not (0 <= i < p.n_x_cells and 0 <= j < p.n_y_cells):
+            raise KeyError(cell)
+        return derive_branch(p.machine, p.triple_of_cell(i, j))
+
+    def __iter__(self):
+        return product(range(self.partition.n_x_cells), range(self.partition.n_y_cells))
+
+    def __len__(self) -> int:
+        return self.partition.n_x_cells * self.partition.n_y_cells
+
+    @cached_property
+    def kernel(self) -> Kernel:
+        return Kernel.of_machine(self.partition.machine)
+
+    @cached_property
+    def peak(self) -> Fraction:
+        """max(a + lambda) over every cell and axis, from the transitions
+        alone: a is linear in the window's X, so the maximum is at X = 0 or
+        X = n_s - 1.  Taken on integers over n_q*n_s**2."""
+        m = self.partition.machine
+        nq, ns = m.n_states, m.n_symbols
+        return Fraction(max(w * (a0 + a1 * x) * ns ** (2 - t) + nq * ns ** (2 + e)
+                            for q in m.states for z in m.tape_symbols
+                            for w, (e, a0, a1, t) in zip((1, nq), transition_form(m, q, z)[:2])
+                            for x in (0, ns - 1)), nq * ns * ns)
+
+
 @dataclass(frozen=True)
 class Nda:
     """The full switched system: partition plus one branch per cell."""
@@ -275,7 +367,11 @@ class Nda:
 
     @cached_property
     def kernel(self) -> Kernel:
-        """The branch table on scaled integers, built on first use."""
+        """The branch table on scaled integers: a machine's ``Branches`` own,
+        filled per visited cell, or any other table's, built in full on first
+        use."""
+        if isinstance(self.branches, Branches):
+            return self.branches.kernel
         ns = self.machine.n_symbols
         return Kernel(self.machine.n_states, ns, (
             (i * ns + j, ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y)))
@@ -283,12 +379,9 @@ class Nda:
 
 
 def build_nda(m: TuringMachine) -> Nda:
+    """``m``'s switched system; its branches are derived on read (``Branches``)."""
     p = build_partition(m)
-    branches = {}
-    for i in range(p.n_x_cells):
-        for j in range(p.n_y_cells):
-            branches[(i, j)] = derive_branch(m, p.triple_of_cell(i, j))
-    return Nda(m, p, branches)
+    return Nda(m, p, Branches(p))
 
 
 def nda_step(nda: Nda, pt: Point) -> Point:
@@ -309,9 +402,10 @@ class NdaTrace:
 
 def nda_successor(nda: Nda, s: tuple, kernel: Kernel | None = None) -> tuple | None:
     """The state of ``kernel`` (the nda's own by default) after ``s``, or
-    None in a halt cell (whose branch has no action)."""
-    cell, nxt = (kernel or nda.kernel).step(s)
-    return None if nda.branches[cell].action is None else nxt
+    None in a halt cell: one whose window's state, i // n_s, halts."""
+    (i, _), nxt = (kernel or nda.kernel).step(s)
+    m = nda.machine
+    return None if m.states[i // m.n_symbols] in m.halt_states else nxt
 
 
 def run_nda(nda: Nda, pt0: Point, max_steps: int) -> NdaTrace:

@@ -23,13 +23,14 @@ to show how expansion destroys the encoding, keeps the sweep's rounding.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 
 from .encode import Point, parse_rat, rat_str
 from .machine import iterate
-from .nda import Kernel, Nda, grid_bounds
+from .nda import Branch, Branches, Kernel, Nda, grid_bounds
 
 HALT_ATOL = 1e-9  # float-mode fixed-point tolerance per coordinate
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -97,19 +98,25 @@ class Network:
     states: tuple[str, ...]
     symbols: tuple[str, ...]
     h: Fraction
-    branch_params: tuple
+    branch_params: tuple  # or a machine's BranchParams, which equals its tuple
 
     def __post_init__(self):
         """Enforce the bounds that make the sparse step equal the sweep.
 
         Off its staircase corner an LTL unit receives at most h/2 from the
         BSL, so over [0, 1]^2 its input is at most lambda + a - h/2 <= 0.
+        A machine's table (``BranchParams``) has the construction's lambda
+        pairs and 0 < lambda, so only h/2 >= its peak is checked, in O(1).
         """
         if not self.h > 0:
             raise NetworkFormatError("h must be positive")
         ltl, half = _unit_ids(self.n_q, self.n_s)[2], self.h / 2
         if len(self.branch_params) != len(ltl):
             raise NetworkFormatError("branch_params needs one entry per cell")
+        if isinstance(self.branch_params, BranchParams):
+            if self.branch_params.branches.peak > half:
+                raise NetworkFormatError(f"h/2 = {half} is below the machine's max(a + lambda)")
+            return
         ns = self.n_s  # (lambda_x, lambda_y) of R, L and halt cells, as num, den
         constructed = {(1, ns, ns, 1), (ns, 1, 1, ns), (1, 1, 1, 1)}
         for c, (t, params) in enumerate(zip(ltl, self.branch_params)):
@@ -125,7 +132,11 @@ class Network:
 
     @cached_property
     def kernel(self) -> Kernel:
-        """The branch table on scaled integers, built on the first exact step."""
+        """The branch table on scaled integers: a machine's (``BranchParams``)
+        is its nda's kernel, filled per visited cell; any other is built in
+        full on the first exact step."""
+        if isinstance(self.branch_params, BranchParams):
+            return self.branch_params.branches.kernel
         return Kernel(self.n_q, self.n_s, enumerate(self.branch_params))
 
     @cached_property
@@ -227,18 +238,58 @@ def _wire(n_q: int, n_s: int, h: Fraction, branch_params) -> dict[tuple[int, int
     return weights
 
 
+class BranchParams(Sequence):
+    """The ``branch_params`` of a machine's network: its ``nda.Branches`` as
+    ((lambda_x, a_x), (lambda_y, a_y)) per cell index, derived on read.  It
+    equals the tuple of its items."""
+
+    def __init__(self, branches: Branches):
+        self.branches = branches
+
+    def __len__(self) -> int:
+        return len(self.branches)
+
+    def __getitem__(self, c: int) -> tuple:
+        if not 0 <= c < len(self):
+            raise IndexError(c)
+        return _params(self.branches[divmod(c, self.branches.partition.n_y_cells)])
+
+    def __iter__(self):
+        return map(_params, self.branches.values())
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, BranchParams)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self):  # the tuple's, as equality is; cached, being O(cells)
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(self))
+
+
+def _params(br: Branch) -> tuple:
+    return (br.lambda_x, br.a_x), (br.lambda_y, br.a_y)
+
+
 def build_network(nda: Nda) -> Network:
     """Wire the network for a switched system; h is the minimal valid bias.
 
     The bias satisfies h/2 >= max(a + lambda) over all branch parameters,
     taken with equality: a ramp unit at exactly zero input stays silent, so
-    the half-excited partial sum h/2 can never fire a wrong cell.
+    the half-excited partial sum h/2 can never fire a wrong cell.  A
+    machine's table (``nda.Branches``) is wrapped, not built: its peak comes
+    from the transitions, and the network shares the nda's kernel.
     """
     mach = nda.machine
     n_q, n_s = mach.n_states, mach.n_symbols
-    params = tuple(((br.lambda_x, br.a_x), (br.lambda_y, br.a_y))
-                   for _, br in sorted(nda.branches.items()))
-    peak = max(a + lam for cell in params for lam, a in cell)
+    if isinstance(nda.branches, Branches):
+        params, peak = BranchParams(nda.branches), nda.branches.peak
+    else:
+        params = tuple(_params(br) for _, br in sorted(nda.branches.items()))
+        peak = max(a + lam for cell in params for lam, a in cell)
     if peak <= 0:
         raise DegenerateMachineError("max(a + lambda) must be positive")
     h = 2 * peak

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import pathlib
 import random
+import runpy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from tm2net.cli import (
     parse_word,
     run_level,
 )
-from tm2net.encode import encode_config
+from tm2net.encode import encode_config, parse_rat
 from tm2net.machine import Config, initial_config, parse_machine, run_tm
 from tm2net.nda import Branch, Nda, build_nda
 
@@ -429,6 +431,19 @@ def test_a_passing_compare_builds_a_constant_number_of_fractions(flip, monkeypat
     assert counts[0] == counts[1]
 
 
+def test_compare_steps_nda_and_net_on_one_kernel(flip, monkeypatch):
+    # a machine's network shares its nda's kernel, so tm's state in it is
+    # made once per step; a network built on its own keeps its own kernel
+    calls = []
+    real = nda.Kernel.of_digits
+    monkeypatch.setattr(nda.Kernel, "of_digits", lambda k, r: calls.append(k) or real(k, r))
+    auto = build_nda(flip)
+    assert network.build_network(auto).kernel is auto.kernel
+    result = compare_levels(flip, ("0", "1") * 20, 100)
+    assert result.ok and len(calls) == result.steps + 1 == 42
+    assert _corrupt_net(flip)["net"].kernel is not auto.kernel
+
+
 def test_compare_cli_exit_3_on_corruption(flip_path, monkeypatch, capsys):
     import tm2net.cli as cli_mod
 
@@ -547,3 +562,28 @@ def test_span_tracer_names_resolve():
         source = importlib.import_module(f"tm2net.{module}")
         for name in names:
             assert callable(getattr(source, name, None)), f"tm2net.{module}.{name}"
+
+
+@pytest.mark.parametrize("level", ["tm", "net"])
+def test_a_report_past_the_int_str_digit_limit(flip_path, capsys, level):
+    # 10,000 symbols: the final x has a denominator of more than 4,300
+    # decimal digits, the limit that parsing keeps and writing lifts
+    rng = random.Random(1)
+    word = "".join(rng.choice("01") for _ in range(10_000))
+    limit = sys.get_int_max_str_digits()
+    assert main(["run", str(flip_path), word, "--level", level, "--max-steps", "10100",
+                 "--format", "json"]) == EXIT_OK
+    assert sys.get_int_max_str_digits() == limit
+    doc = json.loads(capsys.readouterr().out)
+    reference = runpy.run_path(str(pathlib.Path(__file__).resolve().parent.parent
+                                   / "bench" / "reference.py"))
+    want = reference["run"](reference["parse"](flip_path.read_text()), word, 10_100)
+    assert (doc["steps"], doc["halted"]) == (want.steps, want.halted) == (10_001, True)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert doc["final_x"] == f"{want.x.numerator}/{want.x.denominator}"
+        assert len(str(want.x.denominator)) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with pytest.raises(ValueError, match="limit"):
+        parse_rat(doc["final_x"])

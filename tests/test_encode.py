@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,27 @@ def test_shift_composition_matches_tm_step(flip):
                                   flip.symbol_index(written), ns)
             y = affine_shift_right(y, flip.symbol_index(left), ns)
         assert Point(x, y) == want
+
+
+def test_rat_str_writes_past_the_int_str_digit_limit_and_restores_it():
+    limit = sys.get_int_max_str_digits()
+    assert rat_str(Fraction(10 ** (limit + 10) + 1, 3)) == "1" + "0" * (limit + 9) + "1/3"
+    assert sys.get_int_max_str_digits() == limit
+
+    class Failing:  # its numerator fails once the limit is lifted
+        reads = 0
+        denominator = 1
+
+        @property
+        def numerator(self):
+            Failing.reads += 1
+            if Failing.reads > 1:
+                raise RuntimeError("read while lifted")
+            return 10 ** (limit + 10)
+
+    with pytest.raises(RuntimeError):
+        rat_str(Failing())
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_rat_str_and_parse():

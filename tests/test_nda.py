@@ -3,13 +3,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tm2net import nda
 from tm2net.encode import Point, encode_config, rat_str
 from tm2net.gshift import Triple
-from tm2net.machine import canonical_config, initial_config, run_tm, tm_step
+from tm2net.cli import run_level
+from tm2net.machine import TuringMachine, canonical_config, initial_config, run_tm, tm_step
 from tm2net.nda import (
     CellRangeError,
+    Kernel,
     build_nda,
     build_partition,
     cell_of_point,
@@ -19,8 +22,9 @@ from tm2net.nda import (
     orbit_rows,
     run_nda,
 )
+from tm2net.network import build_network
 
-from util import random_config, random_machine
+from util import eager_nda, random_config, random_input, random_machine
 
 
 def in_cell_config(m, rng, triple):
@@ -261,3 +265,53 @@ def test_kernel_states_are_canonical_whatever_c():
         assert kernel.key(s) == wide.key(w)
         padded = (s[0] * m.n_symbols ** 3, s[1] + 3, s[2], s[3])  # three zero digits
         assert kernel.point(padded) == pt and kernel.fit(kernel.point(padded))[1] == s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_the_table_derived_on_read_equals_the_table_built_up_front(rng):
+    # branches, kernel rows and h, from one record per transition, against
+    # the per-window Fraction sums and the eager kernel built from them
+    m = random_machine(rng, max_states=6, max_symbols=6)
+    auto, eager = build_nda(m), eager_nda(m)
+    assert list(auto.branches.items()) == list(eager.branches.items())
+    assert auto.branches == eager.branches and len(auto.branches) == len(eager.branches)
+    ns = m.n_symbols
+    full = Kernel(m.n_states, ns, ((i * ns + j, ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y)))
+                                   for (i, j), b in eager.branches.items()))
+    cells = list(range(len(full.table)))
+    rng.shuffle(cells)  # a row does not depend on the rows derived before it
+    assert auto.kernel.c == full.c
+    assert {u: auto.kernel.table[u] for u in cells} == dict(enumerate(full.table))
+    net = build_network(auto)
+    assert net.h == 2 * max(a + lam for b in eager.branches.values()
+                            for lam, a in ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y)))
+    built = build_network(eager)
+    assert net == built and net.kernel is auto.kernel and built.kernel is not auto.kernel
+
+
+def test_h_reaches_the_left_symbols_far_end():
+    # one live state whose left moves all enter state 0: the peak is a_y +
+    # lambda_y at X = n_s - 1, (n_s*(n_s - 1) + 1)/n_s**2 + 1/n_s = 5/4
+    states, symbols = ("q0", "q1", "q2", "q3"), ("_", "1")
+    m = TuringMachine(states, symbols, ("1",), "q3", frozenset(states[:3]),
+                      {("q3", s): ("q0", "1", "L") for s in symbols})
+    assert build_network(build_nda(m)).h == build_network(eager_nda(m)).h == Fraction(5, 2)
+
+
+@pytest.mark.parametrize("level", ["nda", "net"])
+def test_an_exact_run_pays_per_visited_cell(monkeypatch, level):
+    # 3 states, one halting, and 200 symbols: 120,000 cells, of which a
+    # 10-step run visits at most 11 (this seed's run does not halt in 10)
+    rng = random.Random(9)
+    m = random_machine(rng, shape=(3, 200))
+    assert len(m.halt_states) == 1
+    rows, branches = [], []
+    real_row, real_branch = Kernel._row, nda.derive_branch
+    monkeypatch.setattr(Kernel, "_row", lambda k, u: rows.append(u) or real_row(k, u))
+    monkeypatch.setattr(nda, "derive_branch",
+                        lambda *a: branches.append(a) or real_branch(*a))
+    report, _ = run_level(m, random_input(rng, m, 8), level, 10)
+    assert report.steps == 10 and not report.halted
+    assert 1 <= len(rows) <= 11 and len(set(rows)) == len(rows)
+    assert branches == []

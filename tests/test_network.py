@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from util import (
     bsl_ids,
     corrupt,
     dense_sweep,
+    eager_nda,
     fraction_step,
     in_edges,
     ltl_ids,
@@ -653,3 +655,23 @@ def test_constructor_accepts_only_the_constructions_lambda_pairs(flip_net):
         params[4] = ((lam, a_x), y)
         with pytest.raises(NetworkFormatError, match=r"cell \(1, 1\): lambda pair"):
             dataclasses.replace(flip_net, branch_params=tuple(params))
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "bench" / "machines").glob("*.tm"))
+                         + [ROOT / "fixtures" / "flip.tm", ROOT / "fixtures" / "stub_7x4.tm"],
+                         ids=lambda p: p.name)
+def test_export_of_the_table_derived_on_read_equals_the_eager_tuples(path):
+    # the wrapped machine table against the tuples and the h of a table
+    # built up front, byte for byte
+    m = parse_machine(path.read_text())
+    net, eager = build_network(build_nda(m)), build_network(eager_nda(m))
+    assert isinstance(eager.branch_params, tuple)
+    assert json.dumps(export_network(net)) == json.dumps(export_network(eager))
+
+
+def test_a_machine_table_with_an_h_below_its_peak_is_rejected(flip_net):
+    with pytest.raises(NetworkFormatError, match="below the machine's max"):
+        dataclasses.replace(flip_net, h=flip_net.h - Fraction(1, 100))

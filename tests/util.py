@@ -11,8 +11,9 @@ from functools import lru_cache
 from pathlib import Path
 
 from tm2net.encode import Point
+from tm2net.gshift import Triple
 from tm2net.machine import Config, TuringMachine, canonical_config, parse_machine
-from tm2net.nda import Branch, CellRangeError, Nda
+from tm2net.nda import Branch, CellRangeError, Nda, build_partition
 from tm2net.network import BSL_X, BSL_Y, LTL_X, LTL_Y
 
 MOVES = ("L", "R")
@@ -118,6 +119,36 @@ def corrupt(auto, rng: random.Random, kind: str, h=None):
     branches = dict(auto.branches)
     branches[cell] = Branch(a_x, a_y, b.lambda_x, b.lambda_y, b.triple, b.action)
     return Nda(auto.machine, auto.partition, branches)
+
+
+def fraction_branch(m: TuringMachine, triple: Triple) -> Branch:
+    """The per-window sum of Fractions that ``nda.transition_form``'s
+    integer records replaced, kept as the oracle of ``derive_branch``."""
+    X, q, Z = triple
+    nq, ns = m.n_states, m.n_symbols
+    gq, gs = m.state_index, m.symbol_index
+    if q in m.halt_states:
+        return Branch(Fraction(0), Fraction(0), Fraction(1), Fraction(1), triple, None)
+    q2, b, move = m.delta[(q, Z)]
+    if move == "R":
+        lam_x = Fraction(1, ns)
+        a_x = Fraction(gq(q2), nq) + Fraction(gs(b), nq * ns) - Fraction(gq(q), nq * ns)
+        lam_y = Fraction(ns)
+        a_y = Fraction(-gs(Z))
+    else:
+        lam_x = Fraction(ns)
+        a_x = Fraction(gq(q2), nq) - Fraction(ns * gq(q), nq) - Fraction(gs(X), nq)
+        lam_y = Fraction(1, ns)
+        a_y = Fraction(gs(X), ns) + Fraction(gs(b), ns ** 2) - Fraction(gs(Z), ns ** 2)
+    return Branch(a_x, a_y, lam_x, lam_y, triple, (q2, b, move))
+
+
+def eager_nda(m: TuringMachine) -> Nda:
+    """``m``'s switched system with every branch built up front by
+    ``fraction_branch``, in a dict: the table ``nda.build_nda`` derives on read."""
+    p = build_partition(m)
+    return Nda(m, p, {(i, j): fraction_branch(m, p.triple_of_cell(i, j))
+                      for i in range(p.n_x_cells) for j in range(p.n_y_cells)})
 
 
 def fraction_step(auto, pt, net: bool = False):
