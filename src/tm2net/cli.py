@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 from . import encode, gshift, machine, nda, network
 from .encode import EncodingError, Point, encode_config, rat_str
@@ -131,17 +132,21 @@ def run_level(m: TuringMachine, word, level: str, max_steps: int,
     if mode == "float64":
         net = network.build_network(nda.build_nda(m))
         pt0 = encode_config(m, c0)
-        exact_trace = network.run_network(net, network.initial_state(net, pt0), max_steps)
         float_trace = network.run_network(
             net, network.initial_state(net, pt0, "float64"), max_steps)
-        final = encode.decode_point(m, Point(*exact_trace.final.mcl))
+        run = Run(partial(network.net_successor, net), network.initial_state(net, pt0), max_steps)
+        states = iter(run)  # kept one state past the float run, as far as first_divergence reads
+        exact = network.NetTrace(tuple(islice(states, len(float_trace.states) + 1)), False)
+        for _ in states:
+            pass
+        final = encode.decode_point(m, Point(*run.final.mcl))
         # a float64 run reports its own steps and fixed point
         report = dataclasses.replace(
-            _report_from_config(m, level, final, exact_trace.steps, max_steps),
+            _report_from_config(m, level, final, run.steps, max_steps),
             mode="float64", steps=float_trace.steps, halted=float_trace.halted,
             final_float=float_trace.final.mcl,
-            divergence_step=first_divergence(exact_trace, float_trace),
-            cell_divergence_step=first_divergence(exact_trace, float_trace, "corner"))
+            divergence_step=first_divergence(exact, float_trace),
+            cell_divergence_step=first_divergence(exact, float_trace, "corner"))
         return report, lambda: network.net_trace_rows(net, float_trace)
 
     start, successor, to_config, level_rows = LEVELS[level](m)
@@ -260,8 +265,7 @@ def _branch(auto, net, level: str, cell) -> tuple | None:
         return None
     if level == "net":
         return cell, net.branch_params[cell[0] * net.n_s + cell[1]]
-    b = auto.branches[cell]
-    return cell, ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y))
+    return cell, nda._params(auto.branches[cell])
 
 
 def _load_machine(path: str) -> TuringMachine:

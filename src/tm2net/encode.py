@@ -83,23 +83,40 @@ def godel_value(digits: Iterable[int], base: int) -> Fraction:
     return Fraction(n, base ** k)
 
 
+def _free(d: int, ns: int) -> int:
+    """``d`` without the prime factors it shares with ``ns``."""
+    return d // gcd(d, ns ** d.bit_length())
+
+
+def _scaled(p: int, d: int, c: int, ns: int) -> tuple[int, int] | None:
+    """(N, k) with p/d = N/(c*ns**k) and k minimal, for a reduced p/d, in
+    O(log k) big-int operations; None when d divides no c*ns**k."""
+    k = d.bit_length()  # enough: ns**k holds every power of ns's primes in d
+    scale, r = divmod(c * ns ** k, d)
+    n, powers = p * scale, [ns]
+    if r or not n:
+        return None if r else (0, 0)
+    while 1 << len(powers) <= k:  # ns**(2**i): drop trailing zeros 2**i at a time
+        powers.append(powers[-1] ** 2)
+    for i in reversed(range(len(powers))):
+        if k >> i and not n % powers[i]:
+            n, k = n // powers[i], k - (1 << i)
+    return n, k
+
+
 def _digits(value: Fraction, base: int) -> list[int]:
     """Digit extraction, most significant first; inverse of ``godel_value`` on [0, 1).
 
-    A reduced p/d terminates in base b exactly when dividing d by gcd(d, b)
-    repeatedly reaches 1, and the number of divisions is its digit count
-    (at most d.bit_length()), so termination is decided before any digit is
-    extracted.
+    The value is N/base**k with k minimal (``_scaled``, the kernel's radix
+    rule), or has no terminating expansion, so termination and the digit
+    count follow from the denominator before any digit is extracted.
     """
     if not 0 <= value < 1:
         raise DigitRangeError(f"value {value} outside [0, 1)")
-    d, k = value.denominator, 0
-    while d > 1:
-        g = gcd(d, base)
-        if g == 1:
-            raise NonTerminatingExpansionError(f"no terminating base-{base} expansion")
-        d, k = d // g, k + 1
-    n = value.numerator * base ** k // value.denominator
+    scaled = _scaled(value.numerator, value.denominator, 1, base)
+    if scaled is None:
+        raise NonTerminatingExpansionError(f"no terminating base-{base} expansion")
+    n, k = scaled
     digits = [0] * k
     for pos in reversed(range(k)):
         n, digits[pos] = divmod(n, base)

@@ -10,7 +10,6 @@ map therefore commutes exactly with stepping the machine.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +17,7 @@ from functools import cached_property, partial
 from itertools import product
 from math import gcd, lcm
 
-from .encode import Point, rat_str
+from .encode import Point, _free, _scaled, rat_str
 from .gshift import Triple
 from .machine import Run, TuringMachine
 
@@ -115,6 +114,11 @@ class Branch:
         return (self.a_x, self.a_y, self.lambda_x, self.lambda_y) == (0, 0, 1, 1)
 
 
+def _params(br: Branch) -> tuple:
+    """A branch as ((lambda_x, a_x), (lambda_y, a_y)), a network's cell entry."""
+    return (br.lambda_x, br.a_x), (br.lambda_y, br.a_y)
+
+
 def transition_form(m: TuringMachine, q: str, z: str) -> tuple:
     """The branches of the windows (X, q, Z), every X, in closed form.
 
@@ -153,27 +157,6 @@ def derive_branch(m: TuringMachine, triple: Triple) -> Branch:
                   Fraction(ns) ** ex, Fraction(ns) ** ey, triple, action)
 
 
-def _free(d: int, ns: int) -> int:
-    """``d`` without the prime factors it shares with ``ns``."""
-    return d // gcd(d, ns ** d.bit_length())
-
-
-def _scaled(p: int, d: int, c: int, ns: int) -> tuple[int, int] | None:
-    """(N, k) with p/d = N/(c*ns**k) and k minimal, in O(log k) big-int
-    operations; None when d divides no c*ns**k."""
-    k = d.bit_length()  # enough: ns**k holds every power of ns's primes in d
-    scale, r = divmod(c * ns ** k, d)
-    n, powers = p * scale, [ns]
-    if r or not n:
-        return None if r else (0, 0)
-    while 1 << len(powers) <= k:  # ns**(2**i): drop trailing zeros 2**i at a time
-        powers.append(powers[-1] ** 2)
-    for i in reversed(range(len(powers))):
-        if k >> i and not n % powers[i]:
-            n, k = n // powers[i], k - (1 << i)
-    return n, k
-
-
 class _Rows(dict):
     """A kernel's rows by cell index, each made by ``derive`` on its first read."""
 
@@ -198,57 +181,47 @@ class Kernel:
     with a cached power and a sum.
     """
 
-    def __init__(self, n_q: int, n_s: int, cells):
-        """``cells`` yields (i*n_s + j, ((lambda_x, a_x), (lambda_y, a_y))) for
-        every cell; the whole table is built here."""
-        self._grid(n_q, n_s)
-        exponent = {Fraction(1, n_s): -1, 1: 0, n_s: 1}
-        c, raw = [self.f, 1], [((0, 0, 1),) * 2] * (n_q * n_s * n_s)
-        for u, params in cells:
-            raw[u] = []
-            for axis, (lam, a) in enumerate(params):
-                if lam not in exponent:
-                    raise ValueError(f"cell {divmod(u, n_s)}: lambda {lam} is not 1/n_s, 1 or n_s")
-                c[axis] = lcm(c[axis], _free(a.denominator, n_s))
-                raw[u].append((exponent[lam], a.numerator, a.denominator))
-        self.c = tuple(c)
-        self.table = [(ex, *_scaled(px, dx, c[0], n_s), ey, *_scaled(py, dy, c[1], n_s))
-                      for (ex, px, dx), (ey, py, dy) in raw]
+    def __init__(self, n_q: int, n_s: int, c: tuple[int, int], row):
+        """The n_q-state, n_s-symbol kernel over c = (c_x, c_y) whose cell u
+        has the row ``row(u)``, derived on the first step into the cell."""
+        self.n_q, self.ns, self.c, self.table = n_q, n_s, c, _Rows(row)
+        self.shape, self.powers = (n_q * n_s, n_s), [1]
+        self.f = _free(n_q, n_s)
+        self.u, self.e = _scaled(1, n_q, self.f, n_s)  # 1/n_q = u/(f*ns**e)
 
     @classmethod
     def of_machine(cls, m: TuringMachine) -> Kernel:
         """The kernel of ``build_nda(m)``'s table, without building the table.
         Every offset's denominator divides n_q*ns**2, so c = (f, 1).  It keeps
-        one record per transition, ``transition_form`` with the x offsets
-        over n_q*ns**t put over f*ns**(t+e) (1/n_q = u/(f*ns**e)), and derives
-        a cell's row from it on the first step into the cell (``_row``)."""
-        kernel = cls.__new__(cls)
-        kernel._grid(m.n_states, m.n_symbols)
-        u, e = kernel.u, kernel.e
-        kernel.c, kernel.forms = (kernel.f, 1), [
-            ((ex, x0 * u, x1 * u, tx + e), y)
-            for q in m.states for z in m.tape_symbols
-            for (ex, x0, x1, tx), y, _ in [transition_form(m, q, z)]]
-        kernel.table = _Rows(kernel._row)
-        return kernel
+        one record per transition, ``transition_form`` with the x offsets put
+        over f*ns**(t+e) (1/n_q = u/(f*ns**e)), for ``_machine_row``."""
+        nq, ns = m.n_states, m.n_symbols
+        f = _free(nq, ns)
+        u, e = _scaled(1, nq, f, ns)
+        forms = [((ex, x0 * u, x1 * u, tx + e), y)
+                 for q in m.states for z in m.tape_symbols
+                 for (ex, x0, x1, tx), y, _ in [transition_form(m, q, z)]]
+        return cls(nq, ns, (f, 1), partial(_machine_row, forms, ns))
 
-    def _grid(self, n_q: int, n_s: int) -> None:
-        self.ns, self.shape, self.powers = n_s, (n_q * n_s, n_s), [1]
-        self.f = _free(n_q, n_s)
-        self.u, self.e = _scaled(1, n_q, self.f, n_s)  # 1/n_q = u/(f*ns**e)
+    @classmethod
+    def of_params(cls, n_q: int, n_s: int, params) -> Kernel:
+        """The kernel of any table, ``params[i*n_s + j]`` = ((lambda_x,
+        a_x), (lambda_y, a_y)) of cell (i, j): one pass checks every lambda
+        and finds c, and a cell's row is derived on use."""
+        exponent = {Fraction(1, n_s): -1, 1: 0, n_s: 1}
+        c = [_free(n_q, n_s), 1]
+        for u, cell in enumerate(params):
+            for axis, (lam, a) in enumerate(cell):
+                if lam not in exponent:
+                    raise ValueError(f"cell {divmod(u, n_s)}: lambda {lam} is not 1/n_s, 1 or n_s")
+                c[axis] = lcm(c[axis], _free(a.denominator, n_s))
 
-    def _row(self, u: int) -> tuple:
-        """The row of cell ``u`` = (q*ns + X)*ns + Z, from its transition's
-        record at X: per axis (e, a0 + a1*X, t) without trailing zero digits."""
-        i, z = divmod(u, self.ns)
-        q, x = divmod(i, self.ns)
-        row = ()
-        for e, a0, a1, k in self.forms[q * self.ns + z]:
-            n = a0 + a1 * x
-            while k and not n % self.ns:
-                n, k = n // self.ns, k - 1
-            row += e, n, k
-        return row
+        def row(u: int) -> tuple:
+            (lx, ax), (ly, ay) = params[u]
+            return (exponent[lx], *_scaled(ax.numerator, ax.denominator, c[0], n_s),
+                    exponent[ly], *_scaled(ay.numerator, ay.denominator, c[1], n_s))
+
+        return cls(n_q, n_s, tuple(c), row)
 
     def _powers(self, k: int) -> list[int]:
         """The cached powers of ns, at least up to ns**k."""
@@ -281,16 +254,15 @@ class Kernel:
         return n, top
 
     def fit(self, pt: Point) -> tuple[Kernel, tuple]:
-        """This kernel and ``pt``'s state in it, or the same of a copy whose c
-        is widened by the primes of ``pt``'s denominators it lacks."""
+        """This kernel and ``pt``'s state in it, or the same of a kernel whose
+        c is widened by the primes of ``pt``'s denominators it lacks, its rows
+        this one's rescaled."""
         xy = [_scaled(v.numerator, v.denominator, c, self.ns) for v, c in zip(pt, self.c)]
         if None not in xy:
             return self, xy[0] + xy[1]
-        wide = copy.copy(self)
-        wide.c = tuple(lcm(c, _free(v.denominator, self.ns)) for c, v in zip(self.c, pt))
-        wide.table = _Rows(partial(_widened, self.table, wide.c[0] // self.c[0],
-                                   wide.c[1] // self.c[1]))
-        return wide.fit(pt)
+        c = tuple(lcm(c, _free(v.denominator, self.ns)) for c, v in zip(self.c, pt))
+        return Kernel(self.n_q, self.ns, c, partial(
+            _widened, self.table, c[0] // self.c[0], c[1] // self.c[1])).fit(pt)
 
     def point(self, s: tuple) -> Point:
         return Point(*(Fraction(n, d) for n, d in self.ratios(s)))
@@ -312,6 +284,20 @@ class Kernel:
         return s[0] // gx, self.c[0] // gx, s[1], s[2] // gy, self.c[1] // gy, s[3]
 
 
+def _machine_row(forms: list, ns: int, u: int) -> tuple:
+    """The row of cell ``u`` = (q*ns + X)*ns + Z, from its transition's
+    record at X: per axis (e, a0 + a1*X, t) without trailing zero digits."""
+    i, z = divmod(u, ns)
+    q, x = divmod(i, ns)
+    row = ()
+    for e, a0, a1, k in forms[q * ns + z]:
+        n = a0 + a1 * x
+        while k and not n % ns:
+            n, k = n // ns, k - 1
+        row += e, n, k
+    return row
+
+
 def _widened(table, rx: int, ry: int, u: int) -> tuple:
     """Row ``u`` of ``table`` with c multiplied by (rx, ry), which are free of
     ns's primes, so j stays minimal."""
@@ -322,8 +308,7 @@ def _widened(table, rx: int, ry: int, u: int) -> tuple:
 class Branches(Mapping):
     """A machine's branch table, cell (i, j) to ``Branch``, derived by
     ``derive_branch`` on every read: nothing is built per cell up front.
-    Iterating it gives every cell in row-major order.  ``kernel`` is the
-    table on scaled integers, filled per visited cell."""
+    Iterating it gives every cell in row-major order."""
 
     def __init__(self, partition: Partition):
         self.partition = partition
@@ -339,10 +324,6 @@ class Branches(Mapping):
 
     def __len__(self) -> int:
         return self.partition.n_x_cells * self.partition.n_y_cells
-
-    @cached_property
-    def kernel(self) -> Kernel:
-        return Kernel.of_machine(self.partition.machine)
 
     @cached_property
     def peak(self) -> Fraction:
@@ -367,15 +348,13 @@ class Nda:
 
     @cached_property
     def kernel(self) -> Kernel:
-        """The branch table on scaled integers: a machine's ``Branches`` own,
-        filled per visited cell, or any other table's, built in full on first
-        use."""
+        """The table on scaled integers, rows derived on use: a machine's
+        (``Branches``) from its transitions, else from the dict."""
         if isinstance(self.branches, Branches):
-            return self.branches.kernel
-        ns = self.machine.n_symbols
-        return Kernel(self.machine.n_states, ns, (
-            (i * ns + j, ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y)))
-            for (i, j), b in self.branches.items()))
+            return Kernel.of_machine(self.machine)
+        cells = product(range(self.partition.n_x_cells), range(self.partition.n_y_cells))
+        return Kernel.of_params(self.machine.n_states, self.machine.n_symbols,
+                                [_params(self.branches[cell]) for cell in cells])
 
 
 def build_nda(m: TuringMachine) -> Nda:

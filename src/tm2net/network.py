@@ -30,7 +30,7 @@ from functools import cached_property, partial
 
 from .encode import Point, parse_rat, rat_str
 from .machine import iterate
-from .nda import Branch, Branches, Kernel, Nda, grid_bounds
+from .nda import Branches, Kernel, Nda, _params, grid_bounds
 
 HALT_ATOL = 1e-9  # float-mode fixed-point tolerance per coordinate
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -132,12 +132,11 @@ class Network:
 
     @cached_property
     def kernel(self) -> Kernel:
-        """The branch table on scaled integers: a machine's (``BranchParams``)
-        is its nda's kernel, filled per visited cell; any other is built in
-        full on the first exact step."""
+        """The table on scaled integers, rows derived on use: a machine's
+        (``BranchParams``) nda's own, else ``Kernel.of_params`` of the tuple."""
         if isinstance(self.branch_params, BranchParams):
-            return self.branch_params.branches.kernel
-        return Kernel(self.n_q, self.n_s, enumerate(self.branch_params))
+            return self.branch_params.nda.kernel
+        return Kernel.of_params(self.n_q, self.n_s, self.branch_params)
 
     @cached_property
     def units(self) -> tuple[Unit, ...]:
@@ -239,20 +238,20 @@ def _wire(n_q: int, n_s: int, h: Fraction, branch_params) -> dict[tuple[int, int
 
 
 class BranchParams(Sequence):
-    """The ``branch_params`` of a machine's network: its ``nda.Branches`` as
+    """The ``branch_params`` of a machine's network: its nda's ``Branches`` as
     ((lambda_x, a_x), (lambda_y, a_y)) per cell index, derived on read.  It
-    equals the tuple of its items."""
+    indexes, slices and compares equal like the tuple of its items."""
 
-    def __init__(self, branches: Branches):
-        self.branches = branches
+    def __init__(self, nda: Nda):
+        self.nda, self.branches = nda, nda.branches
 
     def __len__(self) -> int:
         return len(self.branches)
 
-    def __getitem__(self, c: int) -> tuple:
-        if not 0 <= c < len(self):
-            raise IndexError(c)
-        return _params(self.branches[divmod(c, self.branches.partition.n_y_cells)])
+    def __getitem__(self, c):
+        if isinstance(c, slice):
+            return tuple(map(self.__getitem__, range(len(self))[c]))
+        return _params(self.branches[divmod(range(len(self))[c], self.branches.partition.n_y_cells)])
 
     def __iter__(self):
         return map(_params, self.branches.values())
@@ -270,10 +269,6 @@ class BranchParams(Sequence):
         return hash(tuple(self))
 
 
-def _params(br: Branch) -> tuple:
-    return (br.lambda_x, br.a_x), (br.lambda_y, br.a_y)
-
-
 def build_network(nda: Nda) -> Network:
     """Wire the network for a switched system; h is the minimal valid bias.
 
@@ -286,7 +281,7 @@ def build_network(nda: Nda) -> Network:
     mach = nda.machine
     n_q, n_s = mach.n_states, mach.n_symbols
     if isinstance(nda.branches, Branches):
-        params, peak = BranchParams(nda.branches), nda.branches.peak
+        params, peak = BranchParams(nda), nda.branches.peak
     else:
         params = tuple(_params(br) for _, br in sorted(nda.branches.items()))
         peak = max(a + lam for cell in params for lam, a in cell)

@@ -1,11 +1,13 @@
 import csv
 import importlib
 import importlib.util
+import io
 import json
 import pathlib
 import random
 import runpy
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -179,6 +181,35 @@ def test_float64_cell_divergence_of_the_bench_runs(name, bitwise, cell):
     m, word, budget = bench_run(name)
     report, _ = run_level(m, word, "net", budget, mode="float64")
     assert (report.divergence_step, report.cell_divergence_step) == (bitwise, cell)
+
+
+def test_float64_run_keeps_the_exact_run_only_as_far_as_the_float_run():
+    # bb5's float run stops at step 642 on either budget; the exact run
+    # goes on to the budget, one state at a time
+    m, word, _ = bench_run("bb5-prefix")
+    run_level(m, word, "net", 3000, mode="float64")  # first-use caches
+    peaks, reports = [], []
+    for budget in (3000, 30000):
+        tracemalloc.start()
+        try:
+            reports.append(run_level(m, word, "net", budget, mode="float64")[0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert [r.steps for r in reports] == [642, 642]
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_run_float64_csv_report_writes_the_float_point_in_17_digits(flip, flip_path, capsys):
+    assert main(["run", str(flip_path), "01010101", "--level", "net",
+                 "--mode", "float64", "--format", "csv"]) == EXIT_OK
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    net = network.build_network(build_nda(flip))
+    pt = encode_config(flip, initial_config(flip, tuple("01010101")))
+    trace = network.run_network(net, network.initial_state(net, pt, "float64"), 1000)
+    assert row["final_float"] == " ".join(f"{v:.17g}" for v in trace.final.mcl)
+    assert tuple(map(float, row["final_float"].split())) == trace.final.mcl
+    assert (row["mode"], row["steps"]) == ("float64", str(trace.steps))
 
 
 def test_float64_run_builds_no_weights_units_or_activation_vector(flip_path, monkeypatch):
@@ -444,6 +475,24 @@ def test_compare_steps_nda_and_net_on_one_kernel(flip, monkeypatch):
     assert _corrupt_net(flip)["net"].kernel is not auto.kernel
 
 
+def test_compare_names_the_net_branch_of_a_machine_network(flip, monkeypatch):
+    # a net step that steps twice once the state has a corner: net leaves
+    # tm at step 2, and the branch is read from the machine's BranchParams
+    real, seen = network.net_step, []
+
+    def net_step(net, s):
+        out = real(net, s)
+        if s.corner is not None:
+            seen.append(out := real(net, out))
+        return out
+    monkeypatch.setattr(network, "net_step", net_step)
+    result = compare_levels(flip, tuple("0101"), 50)
+    assert not result.ok and result.mismatch[:3] == (2, "tm", "net")
+    cell = seen[-1].corner
+    b = nda.derive_branch(flip, nda.build_partition(flip).triple_of_cell(*cell))
+    assert result.branch == (cell, ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y)))
+
+
 def test_compare_cli_exit_3_on_corruption(flip_path, monkeypatch, capsys):
     import tm2net.cli as cli_mod
 
@@ -549,6 +598,15 @@ def test_first_divergence_none_for_identical():
     a = T([network.NetState("float64", (0.5, 0.25))])
     b = T([network.NetState("float64", (0.5, 0.25))])
     assert first_divergence(a, b) is None
+
+
+def test_first_divergence_of_unequal_lengths_is_the_shared_length():
+    class T:
+        def __init__(self, n):
+            self.states = [network.NetState("float64", (0.5, 0.25))] * n
+
+    assert first_divergence(T(3), T(2)) == first_divergence(T(2), T(3)) == 2
+    assert first_divergence(T(2), T(3), "corner") == 2
 
 
 def test_span_tracer_names_resolve():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tm2net import encode
 from tm2net.encode import (
     DigitRangeError,
     EncodingError,
@@ -248,3 +249,23 @@ def test_successor_digits_keep_the_encoding_of_every_configuration(shape, seed, 
         got = successor_digits(m, c, config_digits(m, other), pw)
         want = derive_branch(m, window(m, c)).apply(encode_config(m, other))
         assert kernel.point(kernel.of_digits(got)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 5000), st.integers(1, 50),
+       st.integers(2, 12))
+def test_scaled_is_the_least_k(p, d, c, ns):
+    # (N, k) with p/d = N/(c*ns**k) for the least k, or None when no k up to
+    # 64 (far above any d here needs) makes N an integer; p/d reduced
+    v = Fraction(p, d)
+    want = next(((int(v * c * ns ** k), k) for k in range(64)
+                 if (v * c * ns ** k).denominator == 1), None)
+    assert encode._scaled(v.numerator, v.denominator, c, ns) == want
+
+
+def test_scaled_examples():
+    assert encode._scaled(0, 1, 1, 3) == (0, 0)
+    assert encode._scaled(1, 7, 1, 3) is None and encode._scaled(1, 6, 1, 3) is None
+    assert encode._scaled(1, 6, 2, 3) == (1, 1)
+    assert encode._scaled(5, 7 * 27, 7, 3) == (5, 3)
+    assert encode._scaled(2, 3 ** 9, 1, 3) == (2, 9) and encode._scaled(1, 9, 3, 3) == (1, 1)

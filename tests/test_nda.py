@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -12,7 +13,7 @@ from tm2net.cli import run_level
 from tm2net.machine import TuringMachine, canonical_config, initial_config, run_tm, tm_step
 from tm2net.nda import (
     CellRangeError,
-    Kernel,
+    Nda,
     build_nda,
     build_partition,
     cell_of_point,
@@ -276,13 +277,11 @@ def test_the_table_derived_on_read_equals_the_table_built_up_front(rng):
     auto, eager = build_nda(m), eager_nda(m)
     assert list(auto.branches.items()) == list(eager.branches.items())
     assert auto.branches == eager.branches and len(auto.branches) == len(eager.branches)
-    ns = m.n_symbols
-    full = Kernel(m.n_states, ns, ((i * ns + j, ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y)))
-                                   for (i, j), b in eager.branches.items()))
-    cells = list(range(len(full.table)))
+    full = eager.kernel  # Kernel.of_params of the Fraction table
+    cells = list(range(len(eager.branches)))
     rng.shuffle(cells)  # a row does not depend on the rows derived before it
     assert auto.kernel.c == full.c
-    assert {u: auto.kernel.table[u] for u in cells} == dict(enumerate(full.table))
+    assert {u: auto.kernel.table[u] for u in cells} == {u: full.table[u] for u in sorted(cells)}
     net = build_network(auto)
     assert net.h == 2 * max(a + lam for b in eager.branches.values()
                             for lam, a in ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y)))
@@ -307,11 +306,30 @@ def test_an_exact_run_pays_per_visited_cell(monkeypatch, level):
     m = random_machine(rng, shape=(3, 200))
     assert len(m.halt_states) == 1
     rows, branches = [], []
-    real_row, real_branch = Kernel._row, nda.derive_branch
-    monkeypatch.setattr(Kernel, "_row", lambda k, u: rows.append(u) or real_row(k, u))
+    real_row, real_branch = nda._machine_row, nda.derive_branch
+    monkeypatch.setattr(nda, "_machine_row", lambda f, ns, u: rows.append(u) or real_row(f, ns, u))
     monkeypatch.setattr(nda, "derive_branch",
                         lambda *a: branches.append(a) or real_branch(*a))
     report, _ = run_level(m, random_input(rng, m, 8), level, 10)
     assert report.steps == 10 and not report.halted
     assert 1 <= len(rows) <= 11 and len(set(rows)) == len(rows)
     assert branches == []
+
+
+def test_branches_raise_key_error_off_the_grid(flip):
+    branches = build_nda(flip).branches
+    n_x, n_y = build_partition(flip).n_x_cells, build_partition(flip).n_y_cells
+    assert (n_x - 1, n_y - 1) in branches
+    for cell in ((n_x, 0), (0, n_y), (-1, 0)):
+        assert cell not in branches
+        with pytest.raises(KeyError):
+            branches[cell]
+
+
+def test_an_explicit_table_with_a_lambda_off_the_construction_fails_on_its_first_step(flip):
+    auto = build_nda(flip)
+    branches = dict(auto.branches)
+    branches[(1, 2)] = dataclasses.replace(branches[(1, 2)], lambda_x=Fraction(2))
+    bad = Nda(flip, auto.partition, branches)
+    with pytest.raises(ValueError, match=r"cell \(1, 2\): lambda 2 is not 1/n_s, 1 or n_s"):
+        nda_step(bad, Point(Fraction(0), Fraction(0)))

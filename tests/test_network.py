@@ -675,3 +675,31 @@ def test_export_of_the_table_derived_on_read_equals_the_eager_tuples(path):
 def test_a_machine_table_with_an_h_below_its_peak_is_rejected(flip_net):
     with pytest.raises(NetworkFormatError, match="below the machine's max"):
         dataclasses.replace(flip_net, h=flip_net.h - Fraction(1, 100))
+
+
+def test_a_machine_table_indexes_like_its_tuple(flip_net):
+    params, table = flip_net.branch_params, tuple(flip_net.branch_params)
+    n = len(table)
+    assert [params[u] for u in range(-n, n)] == [table[u] for u in range(-n, n)]
+    assert params[1:7:2] == table[1:7:2] and params[-3:] == table[-3:]
+    for u in (n, -n - 1):
+        with pytest.raises(IndexError):
+            params[u]
+    imported = import_network(export_network(flip_net)).branch_params
+    assert (imported[-1], imported[0:2]) == (params[-1], params[0:2])
+
+
+def test_a_state_of_another_network_steps_as_that_networks_own(flip, flip_net):
+    # a network with another table refits the state from its MCL: a point
+    # in every cell, and one off the lattice
+    other = build_network(corrupt(build_nda(flip), random.Random(3), "k/7", flip_net.h))
+    assert other.branch_params != flip_net.branch_params
+    n_x, n_y = flip_net.n_x_cells, flip_net.n_y_cells
+    points = [Point(Fraction(2 * i + 1, 2 * n_x), Fraction(2 * j + 1, 2 * n_y))
+              for i in range(n_x) for j in range(n_y)] + [Point(Fraction(1, 7), Fraction(1, 5))]
+    differ = False
+    for pt in points:
+        got, want = net_step(other, initial_state(flip_net, pt)), net_step(other, initial_state(other, pt))
+        assert got == want and got.corner == want.corner and got.mcl == want.mcl
+        differ |= want != net_step(flip_net, initial_state(flip_net, pt))
+    assert differ
