@@ -106,7 +106,7 @@ def _net_level(m: TuringMachine) -> tuple:
             partial(network.net_successor, net),
             lambda s: encode.decode_point(m, Point(*s.mcl)),
             lambda states, halted: network.net_trace_rows(
-                net, network.NetTrace(states, halted)))
+                net, machine.Trace(states, halted)))
 
 
 LEVELS = {
@@ -136,7 +136,7 @@ def run_level(m: TuringMachine, word, level: str, max_steps: int,
             net, network.initial_state(net, pt0, "float64"), max_steps)
         run = Run(partial(network.net_successor, net), network.initial_state(net, pt0), max_steps)
         states = iter(run)  # kept one state past the float run, as far as first_divergence reads
-        exact = network.NetTrace(tuple(islice(states, len(float_trace.states) + 1)), False)
+        exact = machine.Trace(tuple(islice(states, len(float_trace.states) + 1)), False)
         for _ in states:
             pass
         final = encode.decode_point(m, Point(*run.final.mcl))

@@ -188,15 +188,13 @@ def config_digits(m: TuringMachine, c: Config) -> tuple[int, int, int, int, int]
 
 def successor_digits(m: TuringMachine, c: Config, r: tuple, pw: list[int]) -> tuple:
     """``config_digits`` of ``c``'s successor from ``r``, that of ``c``, by
-    the elementary digit maps along ``c``'s transition, each one multiply-add
-    with ``pw``, the cached powers of n_s (extended here).  ``c`` must not
+    the elementary digit maps along ``c``'s transition, each one ``_affine``
+    step with ``pw``, the cached powers of n_s.  ``c`` must not
     halt.  On an ``r`` that is not ``c``'s they act exactly, as ``affine_*``."""
     left, q, read = window(m, c)
     q2, b, move = m.delta[(q, read)]
     ns, gs = m.n_symbols, m.symbol_index
     qd, x, kx, y, ky = r
-    while len(pw) <= max(kx, ky) + 1:
-        pw.append(pw[-1] * ns)
     qd -= m.state_index(q)  # drop the state digit; the tail keeps the rest, 0 on c's point
     if move == "R":
         x, kx = _affine(x, kx, -1, qd + gs(b), 1, ns, pw)  # push the written symbol
@@ -209,10 +207,23 @@ def successor_digits(m: TuringMachine, c: Config, r: tuple, pw: list[int]) -> tu
 
 
 def _affine(n: int, k: int, e: int, d: int, j: int, ns: int, pw: list[int]) -> tuple[int, int]:
-    """n/ns**k times ns**e plus d/ns**j, as (n', k') with no trailing zero digit."""
+    """n/ns**k times ns**e plus d/ns**j, as (n', k') with no trailing zero
+    digit, so k' is minimal and 0 is (0, 0): the one step rule of every
+    exact level.  ``pw``, the cached powers of ns, is extended as read."""
     k -= e
     top = k if k > j else j
+    if len(pw) <= top + 1:  # top - k <= top + 1, as k >= -1
+        _powers(pw, ns, top + 1)
     n = (n * pw[top - k] if top > k else n) + d * pw[top - j]
+    if not n:
+        return 0, 0
     while top and not n % ns:
         n, top = n // ns, top - 1
     return n, top
+
+
+def _powers(pw: list[int], ns: int, k: int) -> list[int]:
+    """``pw``, the cached powers of ns from ns**0, extended up to ns**k."""
+    while len(pw) <= k:
+        pw.append(pw[-1] * ns)
+    return pw

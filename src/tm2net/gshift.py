@@ -9,12 +9,12 @@ states map to the identity, so halted configurations are fixed points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from typing import Mapping, NamedTuple
 
-from .machine import Config, Trace, TuringMachine, canonical_config, iterate
+from .machine import Config, Run, Trace, TuringMachine, _Rows, canonical_config
 
 DOT_LEFT = -1
 DOT_STAY = 0
@@ -40,8 +40,11 @@ class Rule(NamedTuple):
 
 @dataclass(frozen=True)
 class GeneralizedShift:
+    """A machine's shift; ``rules``, a function of the machine, maps each
+    window to its ``Rule`` and is derived per window on first read."""
+
     machine: TuringMachine
-    rules: Mapping[Triple, Rule]
+    rules: Mapping[Triple, Rule] = field(compare=False)
 
 
 def window(m: TuringMachine, c: Config) -> Triple:
@@ -52,19 +55,20 @@ def window(m: TuringMachine, c: Config) -> Triple:
 
 
 def build_gshift(m: TuringMachine) -> GeneralizedShift:
-    """Tabulate shift and rewrite for every possible window."""
-    rules = {}
-    for left, q, read in product(m.tape_symbols, m.states, m.tape_symbols):
-        key = Triple(left, q, read)
-        if q in m.halt_states:
-            rules[key] = Rule(DOT_STAY, (left, q, read))
-            continue
-        q2, written, move = m.delta[(q, read)]
-        if move == "R":
-            rules[key] = Rule(DOT_RIGHT, (left, written, q2))
-        else:
-            rules[key] = Rule(DOT_LEFT, (q2, left, written))
-    return GeneralizedShift(m, rules)
+    """``m``'s shift, its rule table derived per window on first read: a
+    run pays for the windows it visits, not for all n_q*n_s**2."""
+    return GeneralizedShift(m, _Rows(partial(_rule, m)))
+
+
+def _rule(m: TuringMachine, key: Triple) -> Rule:
+    """Shift and rewrite of one window."""
+    left, q, read = key
+    if q in m.halt_states:
+        return Rule(DOT_STAY, (left, q, read))
+    q2, written, move = m.delta[(q, read)]
+    if move == "R":
+        return Rule(DOT_RIGHT, (left, written, q2))
+    return Rule(DOT_LEFT, (q2, left, written))
 
 
 def gs_step(g: GeneralizedShift, c: Config) -> Config:
@@ -90,7 +94,7 @@ def gs_successor(g: GeneralizedShift, c: Config) -> Config | None:
 
 def run_gs(g: GeneralizedShift, c0: Config, max_steps: int) -> Trace:
     """Iterate ``gs_step`` until a halt state is entered or ``max_steps``."""
-    return Trace(*iterate(partial(gs_successor, g), c0, max_steps))
+    return Trace.of(Run(partial(gs_successor, g), c0, max_steps))
 
 
 def dump_rules(g: GeneralizedShift) -> str:

@@ -193,22 +193,6 @@ def tm_step(m: TuringMachine, c: Config) -> Config:
     return canonical_config(m, alpha, beta)
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A run prefix: the initial configuration and every successor."""
-
-    configs: tuple[Config, ...]
-    halted: bool
-
-    @property
-    def steps(self) -> int:
-        return len(self.configs) - 1
-
-    @property
-    def final(self) -> Config:
-        return self.configs[-1]
-
-
 class Run(Generic[S]):
     """A level's run, streamed: iterating yields ``s0`` and its successors,
     at most ``max_steps`` of them, holding only the current state.
@@ -234,11 +218,45 @@ class Run(Generic[S]):
             s, steps = nxt, steps + 1
 
 
-def iterate(successor: Callable[[S], S | None], s0: S,
-            max_steps: int) -> tuple[tuple[S, ...], bool]:
-    """The run loop of every level, collected: ``(s0 and its successors, halted)``."""
-    run = Run(successor, s0, max_steps)
-    return tuple(run), run.halted
+@dataclass(frozen=True)
+class Trace(Generic[S]):
+    """A level's run, collected: the start state and every successor, and
+    whether the run halted.  ``configs`` (tm, gs) and ``points`` (nda) are
+    read-only names for ``states``."""
+
+    states: tuple[S, ...]
+    halted: bool
+
+    @classmethod
+    def of(cls, run: Run[S]) -> Trace[S]:
+        """``run``'s states, from a full iteration, and its verdict."""
+        states = tuple(run)
+        return cls(states, run.halted)
+
+    @property
+    def steps(self) -> int:
+        return len(self.states) - 1
+
+    @property
+    def final(self) -> S:
+        return self.states[-1]
+
+    @property
+    def configs(self) -> tuple[S, ...]:
+        return self.states
+
+    points = configs
+
+
+class _Rows(dict):
+    """A table's entries by key, each made by ``derive`` on its first read."""
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __missing__(self, key):
+        self[key] = value = self.derive(key)
+        return value
 
 
 def tm_successor(m: TuringMachine, c: Config) -> Config | None:
@@ -248,7 +266,7 @@ def tm_successor(m: TuringMachine, c: Config) -> Config | None:
 
 def run_tm(m: TuringMachine, c0: Config, max_steps: int) -> Trace:
     """Iterate ``tm_step`` until a halt state is entered or ``max_steps``."""
-    return Trace(*iterate(partial(tm_successor, m), c0, max_steps))
+    return Trace.of(Run(partial(tm_successor, m), c0, max_steps))
 
 
 def tape_string(m: TuringMachine, c: Config) -> str:

@@ -17,9 +17,9 @@ from functools import cached_property, partial
 from itertools import product
 from math import gcd, lcm
 
-from .encode import Point, _free, _scaled, rat_str
+from .encode import Point, _affine, _free, _powers, _scaled, rat_str
 from .gshift import Triple
-from .machine import Run, TuringMachine
+from .machine import Run, Trace, TuringMachine, _Rows
 
 CELL_ORDER_NOTE = (
     "x cells ordered by (state index, left-symbol index), "
@@ -157,17 +157,6 @@ def derive_branch(m: TuringMachine, triple: Triple) -> Branch:
                   Fraction(ns) ** ex, Fraction(ns) ** ey, triple, action)
 
 
-class _Rows(dict):
-    """A kernel's rows by cell index, each made by ``derive`` on its first read."""
-
-    def __init__(self, derive):
-        self.derive = derive
-
-    def __missing__(self, u: int) -> tuple:
-        self[u] = row = self.derive(u)
-        return row
-
-
 class Kernel:
     """One branch table's exact step on scaled integers.
 
@@ -178,7 +167,8 @@ class Kernel:
     alpha/(c*ns**j)), six integers (e, alpha, j) per axis in the cell's row
     ``table[i*ns + j]``, maps N/(c*ns**k) to (N*ns**(K-k+e) +
     alpha*ns**(K-j))/(c*ns**K) with K = max(k - e, j): per axis a product
-    with a cached power and a sum.
+    with a cached power and a sum, then the trailing zero digits stripped
+    to keep k minimal.  ``encode._affine`` is that one step rule.
     """
 
     def __init__(self, n_q: int, n_s: int, c: tuple[int, int], row):
@@ -223,15 +213,9 @@ class Kernel:
 
         return cls(n_q, n_s, tuple(c), row)
 
-    def _powers(self, k: int) -> list[int]:
-        """The cached powers of ns, at least up to ns**k."""
-        while len(self.powers) <= k:
-            self.powers.append(self.powers[-1] * self.ns)
-        return self.powers
-
     def ratios(self, s: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
         """The state's coordinates as integer ratios (N, c*ns**k)."""
-        pw = self._powers(s[1] if s[1] > s[3] else s[3])
+        pw = _powers(self.powers, self.ns, s[1] if s[1] > s[3] else s[3])
         return (s[0], self.c[0] * pw[s[1]]), (s[2], self.c[1] * pw[s[3]])
 
     def step(self, s: tuple, net: bool = False) -> tuple[tuple[int, int], tuple]:
@@ -240,18 +224,11 @@ class Kernel:
         (nx, dx), (ny, dy) = self.ratios(s)
         i, j = cell = _cell(nx, dx, ny, dy, self.shape, net)
         ex, ax, jx, ey, ay, jy = self.table[i * self.ns + j]
-        return cell, self._axis(s[0], s[1], ex, ax, jx, net) + self._axis(s[2], s[3], ey, ay, jy, net)
-
-    def _axis(self, n: int, k: int, e: int, a: int, j: int, clip: bool) -> tuple[int, int]:
-        k -= e
-        top = k if k > j else j
-        pw = self._powers(top + 1)  # top - k <= top + 1
-        n = (n * pw[top - k] if top > k else n) + a * pw[top - j]
-        if n < 0 and clip or not n:
-            return 0, 0
-        while top and not n % self.ns:  # no trailing zero digit
-            n, top = n // self.ns, top - 1
-        return n, top
+        x = _affine(s[0], s[1], ex, ax, jx, self.ns, self.powers)
+        y = _affine(s[2], s[3], ey, ay, jy, self.ns, self.powers)
+        if net:  # the ramp: a negative coordinate is 0
+            x, y = (x if x[0] >= 0 else (0, 0)), (y if y[0] >= 0 else (0, 0))
+        return cell, x + y
 
     def fit(self, pt: Point) -> tuple[Kernel, tuple]:
         """This kernel and ``pt``'s state in it, or the same of a kernel whose
@@ -272,10 +249,9 @@ class Kernel:
         gcd: 1/n_q = u/(f*ns**e) and f divides c, so x = (q + X/ns**k_x)/n_q
         is (q*ns**k_x + X)*u*(c/f)/(c*ns**(k_x + e))."""
         q, x, kx, y, ky = r
-        n, k = (q * self._powers(kx)[kx] + x) * (self.c[0] // self.f * self.u), kx + self.e
-        while k and not n % self.ns:
-            n, k = n // self.ns, k - 1
-        return n, k, y * self.c[1], ky
+        ns, pw = self.ns, self.powers
+        n = (q * _powers(pw, ns, kx)[kx] + x) * (self.c[0] // self.f * self.u)
+        return _affine(n, kx + self.e, 0, 0, 0, ns, pw) + (y * self.c[1], ky)
 
     def key(self, s: tuple) -> tuple:
         """The state's point in integers free of c: per axis N and c over
@@ -369,16 +345,6 @@ def nda_step(nda: Nda, pt: Point) -> Point:
     return kernel.point(kernel.step(s)[1])
 
 
-@dataclass(frozen=True)
-class NdaTrace:
-    points: tuple[Point, ...]
-    halted: bool
-
-    @property
-    def steps(self) -> int:
-        return len(self.points) - 1
-
-
 def nda_successor(nda: Nda, s: tuple, kernel: Kernel | None = None) -> tuple | None:
     """The state of ``kernel`` (the nda's own by default) after ``s``, or
     None in a halt cell: one whose window's state, i // n_s, halts."""
@@ -387,11 +353,11 @@ def nda_successor(nda: Nda, s: tuple, kernel: Kernel | None = None) -> tuple | N
     return None if m.states[i // m.n_symbols] in m.halt_states else nxt
 
 
-def run_nda(nda: Nda, pt0: Point, max_steps: int) -> NdaTrace:
+def run_nda(nda: Nda, pt0: Point, max_steps: int) -> Trace[Point]:
     """Iterate the flow; stops when the current cell belongs to a halt state."""
     kernel, s0 = nda.kernel.fit(pt0)
     run = Run(partial(nda_successor, nda, kernel=kernel), s0, max_steps)
-    return NdaTrace(tuple(map(kernel.point, run)), run.halted)
+    return Trace(tuple(map(kernel.point, run)), run.halted)
 
 
 def nda_to_json(nda: Nda) -> dict:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 
 from .encode import Point, parse_rat, rat_str
-from .machine import iterate
+from .machine import Run, Trace
 from .nda import Branches, Kernel, Nda, _params, grid_bounds
 
 HALT_ATOL = 1e-9  # float-mode fixed-point tolerance per coordinate
@@ -53,10 +53,6 @@ ACTIVATION = {
 
 class NetworkFormatError(ValueError):
     """Malformed or inconsistent serialized network."""
-
-
-class DegenerateMachineError(ValueError):
-    """No positive inhibition bias exists (impossible for valid machines)."""
 
 
 def unit_count(n_q: int, n_s: int) -> int:
@@ -285,11 +281,8 @@ def build_network(nda: Nda) -> Network:
     else:
         params = tuple(_params(br) for _, br in sorted(nda.branches.items()))
         peak = max(a + lam for cell in params for lam, a in cell)
-    if peak <= 0:
-        raise DegenerateMachineError("max(a + lambda) must be positive")
-    h = 2 * peak
     return Network(n_q=n_q, n_s=n_s, states=mach.states, symbols=mach.tape_symbols,
-                   h=h, branch_params=params)
+                   h=2 * peak, branch_params=params)
 
 
 @dataclass(slots=True, eq=False)  # not frozen: that would triple the cost of a step
@@ -457,26 +450,12 @@ def active_cell(net: Network, state: NetState) -> tuple[int, int] | None:
     return cells.pop() if cells else None
 
 
-@dataclass(frozen=True)
-class NetTrace:
-    states: tuple[NetState, ...]
-    halted: bool
-
-    @property
-    def steps(self) -> int:
-        return len(self.states) - 1
-
-    @property
-    def final(self) -> NetState:
-        return self.states[-1]
-
-
-def run_network(net: Network, s0: NetState, max_steps: int) -> NetTrace:
+def run_network(net: Network, s0: NetState, max_steps: int) -> Trace[NetState]:
     """Iterate until the MCL reaches a fixed point or ``max_steps``."""
-    return NetTrace(*iterate(partial(net_successor, net), s0, max_steps))
+    return Trace.of(Run(partial(net_successor, net), s0, max_steps))
 
 
-def net_trace_rows(net: Network, trace: NetTrace) -> list[dict]:
+def net_trace_rows(net: Network, trace: Trace[NetState]) -> list[dict]:
     """CSV rows: exact values as num/den, floats with 17 significant digits."""
     rows = []
     for t, s in enumerate(trace.states):

@@ -263,6 +263,30 @@ def test_scaled_is_the_least_k(p, d, c, ns):
     assert encode._scaled(v.numerator, v.denominator, c, ns) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(0, 40), st.sampled_from([-1, 0, 1]),
+       st.integers(-10 ** 6, 10 ** 6), st.sampled_from([0, 1, 2]), st.integers(2, 7),
+       st.integers(0, 3))
+def test_affine_is_the_fraction_step_with_k_minimal(n, k, e, d, j, ns, zeros):
+    # trailing zero digits in n and d must be stripped; a fresh power cache
+    # must be extended as far as the step reads
+    n, d = n * ns ** zeros, d * ns ** zeros
+    got_n, got_k = encode._affine(n, k, e, d, j, ns, [1])
+    assert Fraction(got_n, ns ** got_k) == Fraction(n, ns ** k) * Fraction(ns) ** e + Fraction(d, ns ** j)
+    assert got_k == 0 or got_n % ns
+    if not got_n:
+        assert (got_n, got_k) == (0, 0)
+
+
+def test_affine_examples():
+    assert encode._affine(0, 5, 1, 0, 2, 3, [1]) == (0, 0)
+    assert encode._affine(3, 1, 0, -3, 1, 3, [1]) == (0, 0)  # cancels to zero
+    assert encode._affine(9, 2, 0, 0, 0, 3, [1]) == (1, 0)  # 9/9 = 1
+    assert encode._affine(-6, 2, -1, 0, 0, 3, [1]) == (-2, 2)  # -6/27 = -2/9
+    pw = [1]
+    assert encode._affine(1, 0, 1, 1, 2, 2, pw) == (9, 2) and pw == [1, 2, 4, 8]
+
+
 def test_scaled_examples():
     assert encode._scaled(0, 1, 1, 3) == (0, 0)
     assert encode._scaled(1, 7, 1, 3) is None and encode._scaled(1, 6, 1, 3) is None

@@ -1,6 +1,8 @@
 import random
 from itertools import product
 
+from tm2net import gshift
+from tm2net.cli import run_level
 from tm2net.gshift import (
     DOT_LEFT,
     DOT_RIGHT,
@@ -14,7 +16,7 @@ from tm2net.gshift import (
 )
 from tm2net.machine import Config, canonical_config, initial_config, run_tm, tm_step
 
-from util import random_config, random_machine
+from util import random_config, random_input, random_machine
 
 
 def all_triples(m):
@@ -52,7 +54,6 @@ def test_table_total_and_replacements_well_formed():
         m = random_machine(rng)
         g = build_gshift(m)
         triples = all_triples(m)
-        assert set(g.rules) == set(triples)
         for t in triples:
             shift, replace = g.rules[t]
             state_positions = [k for k, sym in enumerate(replace)
@@ -61,6 +62,8 @@ def test_table_total_and_replacements_well_formed():
             # dotted sequence: middle for stay, right for a right move,
             # left for a left move
             assert state_positions == [1 + shift]
+        # rules are derived on read: once every window is read, they are all there
+        assert set(g.rules) == set(triples)
 
 
 def test_gs_step_examples(flip):
@@ -138,3 +141,15 @@ def test_dump_rules_format(flip):
 
 def test_window_uses_blank_tails(flip):
     assert window(flip, Config(("q0",), ())) == Triple("_", "q0", "_")
+
+
+def test_a_gs_run_pays_per_visited_window(monkeypatch):
+    # 3 states, one halting, and 200 symbols: 120,000 windows, of which a
+    # 10-step run reads at most 11 (this seed's run does not halt in 10)
+    rng = random.Random(9)
+    m = random_machine(rng, shape=(3, 200))
+    rules, real_rule = [], gshift._rule
+    monkeypatch.setattr(gshift, "_rule", lambda m, key: rules.append(key) or real_rule(m, key))
+    report, _ = run_level(m, random_input(rng, m, 8), "gs", 10)
+    assert report.steps == 10 and not report.halted
+    assert 1 <= len(rules) <= 11 and len(set(rules)) == len(rules)

@@ -13,6 +13,7 @@ from tm2net.machine import (
     MachineSyntaxError,
     MachineValidationError,
     Run,
+    Trace,
     TuringMachine,
     canonical_config,
     initial_config,
@@ -188,21 +189,17 @@ IMMEDIATE_HALT_TEXT = "states: qH\nsymbols: _ 0\ninput: 0\nstart: qH\nhalt: qH\n
 
 
 def _run_at(level, m, c0, max_steps):
-    """(history, halted, start state) of the level's ``run_*`` from ``c0``."""
+    """(the trace, start state) of the level's ``run_*`` from ``c0``."""
     if level == "tm":
-        t = run_tm(m, c0, max_steps)
-        return t.configs, t.halted, c0
+        return run_tm(m, c0, max_steps), c0
     if level == "gs":
-        t = run_gs(build_gshift(m), c0, max_steps)
-        return t.configs, t.halted, c0
+        return run_gs(build_gshift(m), c0, max_steps), c0
     auto, pt0 = build_nda(m), encode_config(m, c0)
     if level == "nda":
-        t = run_nda(auto, pt0, max_steps)
-        return t.points, t.halted, pt0
+        return run_nda(auto, pt0, max_steps), pt0
     net = build_network(auto)
     s0 = initial_state(net, pt0)
-    t = run_network(net, s0, max_steps)
-    return t.states, t.halted, s0
+    return run_network(net, s0, max_steps), s0
 
 
 @pytest.mark.parametrize("level", ["tm", "gs", "nda", "net"])
@@ -211,14 +208,14 @@ def test_every_level_runs_the_same_loop(flip, level):
     with pytest.raises(ValueError, match="max_steps"):
         _run_at(level, flip, c0, -1)
     # no steps: only the start state, halted exactly when it halts
-    history, halted, start = _run_at(level, flip, c0, 0)
-    assert history == (start,) and not halted
+    trace, start = _run_at(level, flip, c0, 0)
+    assert trace.states == (start,) and not trace.halted
     m = parse_machine(IMMEDIATE_HALT_TEXT)
-    history, halted, start = _run_at(level, m, initial_config(m, ""), 0)
-    assert history == (start,) and halted
+    trace, start = _run_at(level, m, initial_config(m, ""), 0)
+    assert trace.states == (start,) and trace.halted
     # flip halts on its third step, so a budget of exactly 3 suffices
-    history, halted, _ = _run_at(level, flip, c0, 3)
-    assert len(history) == 4 and halted
+    trace, _ = _run_at(level, flip, c0, 3)
+    assert len(trace.states) == 4 and trace.halted
 
 
 @settings(max_examples=40, deadline=None)
@@ -231,13 +228,17 @@ def test_streamed_runs_yield_the_states_of_run_star(seed, max_steps):
     for level in cli.LEVELS:
         start, successor, to_config, _ = cli.LEVELS[level](m)
         run = Run(successor, start(c0), max_steps)
-        history, halted, s0 = _run_at(level, m, c0, max_steps)
+        trace, s0 = _run_at(level, m, c0, max_steps)
+        # every run_* collects its run in one record, under its level's names too
+        assert type(trace) is Trace
+        assert trace.configs is trace.points is trace.states
         # nda streams kernel states: compare them through the kernel's points
         point = build_nda(m).kernel.point if level == "nda" else (lambda s: s)
         assert s0 == point(start(c0))
-        assert tuple(map(point, run)) == history
-        assert (run.steps, point(run.final), run.halted) == (len(history) - 1, history[-1], halted)
-        assert tuple(map(point, run)) == history  # iterating again replays the run
+        assert tuple(map(point, run)) == trace.states
+        assert (run.steps, point(run.final), run.halted) == (trace.steps, trace.final, trace.halted)
+        assert trace.steps == len(trace.states) - 1 and trace.final == trace.states[-1]
+        assert tuple(map(point, run)) == trace.states  # iterating again replays the run
         assert to_config(run.final) == run_tm(m, c0, max_steps).configs[run.steps]
 
 

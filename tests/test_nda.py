@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tm2net import nda
 from tm2net.encode import Point, encode_config, rat_str
 from tm2net.gshift import Triple
-from tm2net.cli import run_level
+from tm2net.cli import compare_levels, run_level
 from tm2net.machine import TuringMachine, canonical_config, initial_config, run_tm, tm_step
 from tm2net.nda import (
     CellRangeError,
@@ -187,6 +187,15 @@ def test_full_trace_commutes(flip):
     assert len(orbit.points) == len(trace.configs)
     for c, pt in zip(trace.configs, orbit.points):
         assert encode_config(flip, c) == pt
+
+
+def test_rows_with_more_digits_than_the_point_step_exactly():
+    # n_q = 16 = 2**4 puts a row's x offset up to 5 digits deep (j) while
+    # the point's k can be 1, so a step reads powers of n_s past max(k) + 2
+    rng = random.Random(3)
+    for _ in range(20):
+        m = random_machine(rng, shape=(16, 2))
+        assert compare_levels(m, random_input(rng, m, 3), 30).ok
 
 
 def test_run_nda_selects_each_cell_once(flip, monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from tm2net import network
 from tm2net.encode import Point, encode_config, rat_str
 from tm2net.machine import initial_config, parse_machine, run_tm
-from tm2net.nda import CellRangeError, build_nda, cell_of_point
+from tm2net.nda import CellRangeError, Nda, build_nda, cell_of_point
 from tm2net.network import (
     BSL_X,
     BSL_Y,
@@ -284,6 +284,15 @@ def with_offset(net, t, delta):
     lam, a = params[i * net.n_s + j][axis]
     params[i * net.n_s + j][axis] = (lam, a + delta)
     return dataclasses.replace(net, branch_params=tuple(map(tuple, params)))
+
+
+def test_a_table_with_no_positive_a_plus_lambda_has_no_bias(flip):
+    # every branch moved to a + lambda = 0: h = 2 * max(a + lambda) = 0
+    auto = build_nda(flip)
+    branches = {cell: dataclasses.replace(br, a_x=-br.lambda_x, a_y=-br.lambda_y)
+                for cell, br in auto.branches.items()}
+    with pytest.raises(NetworkFormatError, match="h must be positive"):
+        build_network(Nda(flip, auto.partition, branches))
 
 
 def test_constructor_rejects_a_plus_lambda_above_half_h(flip_net):
