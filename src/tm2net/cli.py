@@ -85,10 +85,11 @@ def _report_from_config(m, level, final_config, steps, max_steps) -> RunReport:
 
 # Each level as an exact run drives it, built from the machine: (start, the
 # initial configuration to the first state; successor; to_config, a state
-# decoded; rows(states, halted), the ``--trace`` CSV rows).
-def _config_level(m: TuringMachine, successor) -> tuple:
-    return (lambda c: c), successor, (lambda c: c), (
-        lambda configs, halted: _config_rows(m, configs))
+# decoded; rows(states, halted), the ``--trace`` CSV rows).  tm and gs step
+# tapes, which are configurations only at the ends of a run.
+def _tape_level(m: TuringMachine, successor) -> tuple:
+    return machine.tape_of, successor, machine.config_of, (
+        lambda tapes, halted: _config_rows(m, map(machine.config_of, tapes)))
 
 
 def _nda_level(m: TuringMachine) -> tuple:
@@ -110,8 +111,8 @@ def _net_level(m: TuringMachine) -> tuple:
 
 
 LEVELS = {
-    "tm": lambda m: _config_level(m, partial(machine.tm_successor, m)),
-    "gs": lambda m: _config_level(m, partial(gshift.gs_successor, gshift.build_gshift(m))),
+    "tm": lambda m: _tape_level(m, partial(machine.tm_tape_step, m)),
+    "gs": lambda m: _tape_level(m, partial(gshift.gs_tape_step, gshift.build_gshift(m))),
     "nda": _nda_level,
     "net": _net_level,
 }
@@ -204,59 +205,82 @@ def compare_levels(m: TuringMachine, word, max_steps: int,
                    auto: nda.Nda | None = None,
                    net: network.Network | None = None) -> CompareResult:
     """Run all four levels in lockstep (exact mode), keeping one state each,
-    and compare every step (``_lockstep``), with no Fraction built per step;
-    tm's point, kept on integers along tm's transitions, must then be the
-    encoding of tm's last configuration.  If a check fails, a replay that
-    encodes tm's every configuration names the first divergent step.
-    ``auto``/``net`` let tests inject corrupted systems.
+    and check every step in O(1) (``_agree``), with no Fraction built per
+    step; tm's point, kept on integers along tm's transitions, must then be
+    the encoding of tm's last configuration.  If a check fails, a replay
+    (``_replay``) that decodes every level at every step names the first
+    divergent step.  ``auto``/``net`` let tests inject corrupted systems.
     """
-    tm_run = Run(partial(machine.tm_successor, m), initial_config(m, word), max_steps)
+    tm_run = Run(partial(machine.tm_tape_step, m), machine.tape_of(initial_config(m, word)),
+                 max_steps)
     auto = auto if auto is not None else nda.build_nda(m)
     systems = (m, tm_run, gshift.build_gshift(m), auto,
                net if net is not None else network.build_network(auto))
-    mismatch, _, digits = _lockstep(*systems)
+    digits = _agree(*systems)
     # equal integers are equal points; unequal ones leave the verdict to the replay
-    if mismatch is None and encode.config_digits(m, tm_run.final) == digits:
+    if digits is not None and encode.config_digits(m, machine.config_of(tm_run.final)) == digits:
         return CompareResult(True, tm_run.steps, tm_run.halted)
-    mismatch, branch, _ = _lockstep(*systems, replay=True)
+    mismatch, branch = _replay(*systems)
     for _ in tm_run:  # the whole tm run gives the steps and the verdict
         pass
     return CompareResult(mismatch is None, tm_run.steps, tm_run.halted, mismatch, branch)
 
 
-def _lockstep(m, tm_run, gs, auto, net, replay=False):
-    """Step gs, nda and net beside ``tm_run`` and compare every step: gs with
-    tm's configuration, and nda's and net's kernel states with tm's point on
-    integers (``encode.successor_digits``) in the kernel's form, a tuple
-    comparison, or with a ``replay`` their Fraction points with tm's encoded
-    configuration.  Returns the first mismatch and its branch (as in
-    ``CompareResult``), or None twice, and tm's point on integers."""
-    gs_c = tm_run.s0
-    point = encode_config(m, gs_c)
+def _agree(m, tm_run, gs, auto, net):
+    """Step gs, nda and net beside ``tm_run``'s tapes and check every step:
+    gs's step of tm's previous tape against tm's tape (``same_cells``),
+    which shares its tail, so gs runs as tm does exactly when every check
+    holds; nda's and net's kernel states against tm's point on integers
+    (``encode.successor_digits``) in the kernel's form, a tuple comparison.
+    Returns tm's point on integers after the run, or None at the first
+    failed check."""
+    c0 = machine.config_of(tm_run.s0)
+    point = encode_config(m, c0)
     kernel, s = auto.kernel.fit(point)
     state = network.initial_state(net, point)
-    digits, cell = encode.config_digits(m, gs_c), None
-    for t, tm_c in enumerate(tm_run):
-        if t:  # powers of n_s depend on n_s alone: the kernel's cache serves tm's point
-            digits = encode.successor_digits(m, prev, digits, kernel.powers)
-            gs_c = gshift.gs_step(gs, gs_c)
-            cell, s = kernel.step(s)  # as nda_step: halt cells step too
+    digits, prev = encode.config_digits(m, c0), None
+    for tm_t in tm_run:
+        if prev is not None:
+            # powers of n_s depend on n_s alone: the kernel's cache serves tm's point
+            digits = encode.successor_digits(m, gshift.tape_window(m, prev), digits,
+                                             kernel.powers)
+            gs_t = gshift.gs_tape_step(gs, prev)
+            if gs_t is None or not (machine.same_cells(gs_t[0], tm_t[0])
+                                    and machine.same_cells(gs_t[1], tm_t[1])):
+                return None
+            s = kernel.step(s)[1]  # as nda_step: halt cells step too
             state = network.net_step(net, state)
+        want = kernel.of_digits(digits)  # the kernel a machine's network shares
+        k = state.kernel
+        if want != s or (want if k is kernel else k.of_digits(digits)) != state.scaled:
+            return None
+        prev = tm_t
+    return digits
+
+
+def _replay(m, tm_run, gs, auto, net):
+    """The first mismatch of ``_agree``'s run and its branch (as in
+    ``CompareResult``), or None twice: gs steps its own tapes, and every
+    step compares decoded configurations, gs's with tm's, then nda's and
+    net's Fraction points with tm's encoded one."""
+    gs_t = tm_run.s0
+    point = encode_config(m, machine.config_of(gs_t))
+    kernel, s = auto.kernel.fit(point)
+    state, cell = network.initial_state(net, point), None
+    for t, tm_t in enumerate(tm_run):
+        if t:
+            gs_t = gshift.gs_tape_step(gs, gs_t) or gs_t  # a halt rule stays, as in gs_step
+            cell, s = kernel.step(s)
+            state = network.net_step(net, state)
+        tm_c, gs_c = machine.config_of(tm_t), machine.config_of(gs_t)
+        point = encode_config(m, tm_c)
         if gs_c != tm_c:  # both canonical, so equal exactly when their points are
-            return (t, "tm", "gs", encode_config(m, tm_c), encode_config(m, gs_c)), None, digits
-        if replay:
-            point = encode_config(m, tm_c)
-        else:  # tm's state in the nda's kernel, which a machine's network shares
-            want = kernel.of_digits(digits)
+            return (t, "tm", "gs", point, encode_config(m, gs_c)), None
         for level, k, got, at in (("nda", kernel, s, cell),
                                   ("net", state.kernel, state.scaled, state.corner)):
-            if not replay and k is not kernel:
-                want = k.of_digits(digits)
-            if k.point(got) != point if replay else want != got:
-                want = point if replay else k.point(want)
-                return (t, "tm", level, want, k.point(got)), _branch(auto, net, level, at), digits
-        prev = tm_c
-    return None, None, digits
+            if k.point(got) != point:
+                return (t, "tm", level, point, k.point(got)), _branch(auto, net, level, at)
+    return None, None
 
 
 def _branch(auto, net, level: str, cell) -> tuple | None:
@@ -314,11 +338,12 @@ def cmd_compile(args) -> int:
 
 
 def _print_report(report: RunReport, fmt: str) -> None:
+    # shallow: asdict would copy the final tape's tuples recursively
+    d = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     if fmt == "json":
-        print(json.dumps(dataclasses.asdict(report), indent=2))
+        print(json.dumps(d, indent=2))
         return
     if fmt == "csv":
-        d = dataclasses.asdict(report)
         d["final_alpha"] = " ".join(report.final_alpha)
         d["final_beta"] = " ".join(report.final_beta)
         if report.final_float is not None:

@@ -18,7 +18,6 @@ from functools import reduce
 from math import gcd
 from typing import Iterable, NamedTuple
 
-from .gshift import window
 from .machine import Config, TuringMachine
 
 Rational = Fraction
@@ -186,24 +185,26 @@ def config_digits(m: TuringMachine, c: Config) -> tuple[int, int, int, int, int]
     return m.state_index(c.state), x, len(c.alpha) - 1, y, len(c.beta)
 
 
-def successor_digits(m: TuringMachine, c: Config, r: tuple, pw: list[int]) -> tuple:
-    """``config_digits`` of ``c``'s successor from ``r``, that of ``c``, by
-    the elementary digit maps along ``c``'s transition, each one ``_affine``
-    step with ``pw``, the cached powers of n_s.  ``c`` must not
-    halt.  On an ``r`` that is not ``c``'s they act exactly, as ``affine_*``."""
-    left, q, read = window(m, c)
-    q2, b, move = m.delta[(q, read)]
-    ns, gs = m.n_symbols, m.symbol_index
+def successor_digits(m: TuringMachine, w: tuple[str, str, str], r: tuple,
+                     pw: list[int]) -> tuple:
+    """``config_digits`` of the successor of a configuration c from ``r``,
+    that of c, by the elementary digit maps along the transition of ``w``,
+    c's window (X, q, Z), each one ``_affine`` step with ``pw``, the cached
+    powers of n_s.  q must not halt.  On an ``r`` that is not c's they act
+    exactly, as ``affine_*``."""
+    left, q, read = w
+    q2, b, move = m.delta[q, read]
+    ns, gs, gq = m.n_symbols, m._symbol_index, m._state_index  # dict reads: cheaper per step
     qd, x, kx, y, ky = r
-    qd -= m.state_index(q)  # drop the state digit; the tail keeps the rest, 0 on c's point
+    qd -= gq[q]  # drop the state digit; the tail keeps the rest, 0 on c's point
     if move == "R":
-        x, kx = _affine(x, kx, -1, qd + gs(b), 1, ns, pw)  # push the written symbol
-        y, ky = _affine(y, ky, 1, -gs(read), 0, ns, pw)  # consume the read symbol
+        x, kx = _affine(x, kx, -1, qd + gs[b], 1, ns, pw)  # push the written symbol
+        y, ky = _affine(y, ky, 1, -gs[read], 0, ns, pw)  # consume the read symbol
     else:
-        x, kx = _affine(x, kx, 1, qd * ns - gs(left), 0, ns, pw)  # drop the left neighbour
+        x, kx = _affine(x, kx, 1, qd * ns - gs[left], 0, ns, pw)  # drop the left neighbour
         # overwrite under the head, then the left neighbour slides right
-        y, ky = _affine(y, ky, -1, gs(left) * ns + gs(b) - gs(read), 2, ns, pw)
-    return m.state_index(q2), x, kx, y, ky  # push the new state
+        y, ky = _affine(y, ky, -1, gs[left] * ns + gs[b] - gs[read], 2, ns, pw)
+    return gq[q2], x, kx, y, ky  # push the new state
 
 
 def _affine(n: int, k: int, e: int, d: int, j: int, ns: int, pw: list[int]) -> tuple[int, int]:

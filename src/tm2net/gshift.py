@@ -5,6 +5,7 @@ left of it, the state, and the symbol under the head), rewrites that same
 window, and moves the marker one cell left or right.  The rewrite tables
 are chosen so that one shift step equals one machine transition; halt
 states map to the identity, so halted configurations are fixed points.
+A run steps a tape (``machine.Tape``) by the same rules in O(1) cells.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import partial
 from itertools import product
 from typing import Mapping, NamedTuple
 
-from .machine import Config, Run, Trace, TuringMachine, _Rows, canonical_config
+from .machine import Config, Run, Tape, Trace, TuringMachine, _Rows, canonical_config, push
 
 DOT_LEFT = -1
 DOT_STAY = 0
@@ -54,6 +55,12 @@ def window(m: TuringMachine, c: Config) -> Triple:
     return Triple(left, c.alpha[0], read)
 
 
+def tape_window(m: TuringMachine, t: Tape) -> tuple[str, str, str]:
+    """``window`` of a tape, as a plain tuple."""
+    (q, left), right = t
+    return left[0] if left else m.blank, q, right[0] if right else m.blank
+
+
 def build_gshift(m: TuringMachine) -> GeneralizedShift:
     """``m``'s shift, its rule table derived per window on first read: a
     run pays for the windows it visits, not for all n_q*n_s**2."""
@@ -85,6 +92,22 @@ def gs_step(g: GeneralizedShift, c: Config) -> Config:
         beta = (alpha[0],) + beta
         alpha = alpha[1:]
     return canonical_config(m, alpha, beta)
+
+
+def gs_tape_step(g: GeneralizedShift, t: Tape) -> Tape | None:
+    """``gs_successor`` on a tape: pop the window's outer cells, push the
+    rewritten window back with the marker moved; None on a halt rule, which
+    stays."""
+    m = g.machine
+    (q, left), right = t
+    x, left = left or (m.blank, None)
+    z, right = right or (m.blank, None)
+    shift, (g1, g2, g3) = g.rules[x, q, z]
+    if shift == DOT_RIGHT:  # g3 is the new state, g2 and g1 left of it
+        return (g3, push(m, g2, push(m, g1, left))), right
+    if shift == DOT_LEFT:  # g1 is the new state, g2 and g3 right of it
+        return (g1, left), push(m, g2, push(m, g3, right))
+    return None
 
 
 def gs_successor(g: GeneralizedShift, c: Config) -> Config | None:

@@ -6,6 +6,14 @@ with the current state prepended, ``beta`` is the tape from the head
 position rightwards.  Both halves are implicitly followed by an infinite
 run of blanks, so trailing blanks are normalized away and equality of
 configurations is decidable.
+
+A run steps a *tape* instead: the same two halves as cons lists,
+``(left, right)``, each ``(symbol, rest)`` or None for the empty list, with
+the state on top of ``left``.  A step pops and pushes at most three cells
+(``push`` keeps the lists canonical) and shares the rest with the tape
+before it, so it costs O(1) whatever the span; ``tape_of`` and
+``config_of`` convert at the ends of a run.  Never compare, hash or
+``repr`` a whole tape: tuple equality recurses once per cell.
 """
 
 from __future__ import annotations
@@ -168,12 +176,13 @@ def canonical_config(m: TuringMachine, alpha: Sequence[str], beta: Sequence[str]
 
 
 def initial_config(m: TuringMachine, word: Iterable[str]) -> Config:
-    """Start configuration: head on the first symbol of ``word``."""
+    """Start configuration: head on the first symbol of ``word``.  Input
+    symbols are never blank, so it is canonical as it stands."""
     symbols = tuple(word)
     for s in symbols:
         if s not in m.input_symbols:
             raise MachineValidationError(f"{s!r} is not an input symbol")
-    return canonical_config(m, (m.start_state,), symbols)
+    return Config((m.start_state,), symbols)
 
 
 def tm_step(m: TuringMachine, c: Config) -> Config:
@@ -191,6 +200,62 @@ def tm_step(m: TuringMachine, c: Config) -> Config:
         alpha = (q2,) + c.alpha[2:]
         beta = (left, written) + c.beta[1:]
     return canonical_config(m, alpha, beta)
+
+
+Tape = tuple  # (left, right): see the module docstring
+
+
+def push(m: TuringMachine, s: str, rest):
+    """The list ``s`` on ``rest``, canonical: a blank pushed onto the empty
+    list leaves it empty, so no list ends in a blank."""
+    return (s, rest) if rest is not None or s != m.blank else None
+
+
+def tape_of(c: Config) -> Tape:
+    """A canonical configuration's tape."""
+    left = right = None
+    for s in reversed(c.alpha):
+        left = (s, left)
+    for s in reversed(c.beta):
+        right = (s, right)
+    return left, right
+
+
+def config_of(t: Tape) -> Config:
+    """A tape's configuration."""
+    halves = []
+    for cells in t:
+        half = []
+        while cells is not None:
+            s, cells = cells
+            half.append(s)
+        halves.append(tuple(half))
+    return Config(*halves)
+
+
+def same_cells(a, b) -> bool:
+    """Whether cons lists ``a`` and ``b`` are equal, walked from the head
+    until they share a tail: O(1) for two steps of one tape, which share
+    all but the at most three cells a step pushes."""
+    while a is not b:
+        if a is None or b is None or a[0] != b[0]:
+            return False
+        a, b = a[1], b[1]
+    return True
+
+
+def tm_tape_step(m: TuringMachine, t: Tape) -> Tape | None:
+    """``tm_successor`` on a tape: pop the read symbol, push the written one
+    and move the state; None in a halt state."""
+    (q, left), right = t
+    if q in m.halt_states:
+        return None
+    read, right = right or (m.blank, None)
+    q2, written, move = m.delta[q, read]
+    if move == "R":
+        return (q2, push(m, written, left)), right
+    x, left = left or (m.blank, None)
+    return (q2, left), push(m, x, push(m, written, right))
 
 
 class Run(Generic[S]):

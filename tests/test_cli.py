@@ -222,6 +222,25 @@ def test_float64_run_builds_no_weights_units_or_activation_vector(flip_path, mon
                  "--mode", "float64"]) == EXIT_OK
 
 
+def test_tape_levels_and_a_passing_compare_never_step_a_config(flip_path, tmp_path,
+                                                                monkeypatch):
+    # tm and gs step tapes in O(1): no Config is stepped or canonicalized
+    def forbidden(*args):
+        raise AssertionError("stepped or canonicalized a Config")
+
+    for module, name in ((machine, "canonical_config"), (machine, "tm_step"),
+                         (gshift, "canonical_config"), (gshift, "gs_step")):
+        monkeypatch.setattr(module, name, forbidden)
+    for level in ("tm", "gs"):
+        assert main(["run", str(flip_path), "0110", "--level", level,
+                     "--trace", str(tmp_path / f"{level}.csv")]) == EXIT_OK
+    assert main(["compare", str(flip_path), "0110"]) == EXIT_OK
+    m, word, _ = bench_run("bb5-prefix")  # left moves, and blanks read at both ends
+    for level in ("tm", "gs"):
+        assert run_level(m, word, level, 500)[0].steps == 500
+    assert compare_levels(m, word, 500).ok
+
+
 def test_run_json_format(flip_path, capsys):
     assert main(["run", str(flip_path), "01", "--level", "nda",
                  "--format", "json"]) == EXIT_OK
@@ -322,7 +341,7 @@ def test_compare_detects_corrupted_branch(flip):
 
 def test_compare_reports_a_gs_mismatch_with_both_points(flip, monkeypatch):
     # a shift that never moves: gs and tm part at step 1
-    monkeypatch.setattr(cli.gshift, "gs_step", lambda g, c: c)
+    monkeypatch.setattr(cli.gshift, "gs_tape_step", lambda g, t: t)
     c0 = initial_config(flip, ("0", "1"))
     result = compare_levels(flip, ("0", "1"), 50)
     assert not result.ok
@@ -337,38 +356,47 @@ def test_compare_cli_rejects_a_negative_budget(flip_path, capsys):
 
 
 def _fault_in_tm_step(monkeypatch):
-    real = machine.tm_step
+    real = machine.tm_tape_step
 
-    def tm_step(m, c):  # writes 1 wherever the left tape reaches two cells
-        out = real(m, c)
-        return out if len(out.alpha) != 3 else Config(out.alpha[:1] + ("1",) + out.alpha[2:],
-                                                      out.beta)
-    monkeypatch.setattr(machine, "tm_step", tm_step)
+    def tm_tape_step(m, t):  # writes 1 wherever the left tape reaches two cells
+        out = real(m, t)
+        c = None if out is None else machine.config_of(out)
+        return out if c is None or len(c.alpha) != 3 else machine.tape_of(
+            Config(c.alpha[:1] + ("1",) + c.alpha[2:], c.beta))
+    monkeypatch.setattr(machine, "tm_tape_step", tm_tape_step)
 
 
 def _fault_in_gs_step(monkeypatch):
-    real = gshift.gs_step
+    real = gshift.gs_tape_step
 
-    def gs_step(g, c):  # moves right without writing once the left tape has two cells
-        return real(g, c) if len(c.alpha) != 3 else Config(c.alpha[:1] + c.beta[:1]
-                                                           + c.alpha[1:], c.beta[1:])
-    monkeypatch.setattr(gshift, "gs_step", gs_step)
+    def gs_tape_step(g, t):  # moves right without writing once the left tape has two cells
+        c = machine.config_of(t)
+        return real(g, t) if len(c.alpha) != 3 else machine.tape_of(
+            Config(c.alpha[:1] + c.beta[:1] + c.alpha[1:], c.beta[1:]))
+    monkeypatch.setattr(gshift, "gs_tape_step", gs_tape_step)
 
 
-def _fault_in_canonical_config(monkeypatch, forget_left=True):
-    real = machine.canonical_config
+def _fault_in_canonical_form(monkeypatch, forget_left=True):
+    # shared by tm and gs: the push helper forgets the cells below a pushed
+    # one, which flip's head never reads again; or both steps rewrite a cell
+    # the head reads two steps later (flip pushes none onto the right)
+    if forget_left:
+        real_push = machine.push
+        for module in (machine, gshift):
+            monkeypatch.setattr(module, "push", lambda m, s, rest: real_push(m, s, None))
+        return
 
-    def canonical_config(m, alpha, beta):
-        # shared by tm and gs: forgets a cell the head never reads again, or
-        # rewrites one it reads two steps later
-        c = real(m, alpha, beta)
-        if forget_left:
-            return c if len(c.alpha) < 3 else Config(c.alpha[:2], c.beta)
-        if len(c.beta) != 4:
-            return c
-        return Config(c.alpha, c.beta[:2] + ({"0": "1"}.get(c.beta[2], "0"),) + c.beta[3:])
-    for module in (machine, gshift):
-        monkeypatch.setattr(module, "canonical_config", canonical_config)
+    def read_later(step):
+        def faulty(machine_or_shift, t):
+            out = step(machine_or_shift, t)
+            c = None if out is None else machine.config_of(out)
+            if c is None or len(c.beta) != 4:
+                return out
+            return machine.tape_of(Config(c.alpha, c.beta[:2] + ({"0": "1"}.get(c.beta[2], "0"),)
+                                          + c.beta[3:]))
+        return faulty
+    monkeypatch.setattr(machine, "tm_tape_step", read_later(machine.tm_tape_step))
+    monkeypatch.setattr(gshift, "gs_tape_step", read_later(gshift.gs_tape_step))
 
 
 def _corrupt_nda(flip):
@@ -394,7 +422,7 @@ def test_compare_reports_the_mismatch_of_the_per_step_compare(flip, monkeypatch,
     elif fault == "gs_step":
         _fault_in_gs_step(monkeypatch)
     elif fault.startswith("canonical_config"):
-        _fault_in_canonical_config(monkeypatch, fault == "canonical_config")
+        _fault_in_canonical_form(monkeypatch, fault == "canonical_config")
     elif fault == "nda_branch":
         inject = _corrupt_nda(flip)
     else:
@@ -524,7 +552,7 @@ def test_compare_mismatch_report_names_window_branch_and_configurations(
 def test_compare_mismatch_report_decodes_a_deviating_configuration(flip_path, monkeypatch,
                                                                     capsys):
     # a shift that never moves: gs keeps the start configuration, and gs has no branch
-    monkeypatch.setattr(cli.gshift, "gs_step", lambda g, c: c)
+    monkeypatch.setattr(cli.gshift, "gs_tape_step", lambda g, t: t)
     assert main(["compare", str(flip_path), "01"]) == EXIT_MISMATCH
     assert capsys.readouterr().err.splitlines()[1:] == [
         "tm configuration: state q0, tape '11', head on symbol 1, window (X, q, Z) = (1, q0, 1)",
@@ -622,12 +650,17 @@ def test_span_tracer_names_resolve():
             assert callable(getattr(source, name, None)), f"tm2net.{module}.{name}"
 
 
-@pytest.mark.parametrize("level", ["tm", "net"])
-def test_a_report_past_the_int_str_digit_limit(flip_path, capsys, level):
+def _long_word():
     # 10,000 symbols: the final x has a denominator of more than 4,300
-    # decimal digits, the limit that parsing keeps and writing lifts
+    # decimal digits, the limit that parsing keeps and writing lifts; and a
+    # tape 10,000 cells deep, which no code may compare, hash or repr whole
     rng = random.Random(1)
-    word = "".join(rng.choice("01") for _ in range(10_000))
+    return "".join(rng.choice("01") for _ in range(10_000))
+
+
+@pytest.mark.parametrize("level", ["tm", "gs", "net"])
+def test_a_report_past_the_int_str_digit_limit(flip_path, capsys, level):
+    word = _long_word()
     limit = sys.get_int_max_str_digits()
     assert main(["run", str(flip_path), word, "--level", level, "--max-steps", "10100",
                  "--format", "json"]) == EXIT_OK
@@ -645,3 +678,10 @@ def test_a_report_past_the_int_str_digit_limit(flip_path, capsys, level):
         sys.set_int_max_str_digits(limit)
     with pytest.raises(ValueError, match="limit"):
         parse_rat(doc["final_x"])
+
+
+def test_compare_past_the_int_str_digit_limit(flip_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(["compare", str(flip_path), _long_word(), "--max-steps", "10100"]) == EXIT_OK
+    assert capsys.readouterr().out == "all levels agree over 10001 steps (halted)\n"
+    assert sys.get_int_max_str_digits() == limit

@@ -240,13 +240,13 @@ def test_successor_digits_keep_the_encoding_of_every_configuration(shape, seed, 
     r = config_digits(m, configs[0])
     assert_encodes(r, configs[0])
     for prev, c in zip(configs, configs[1:]):
-        r = successor_digits(m, prev, r, pw)
+        r = successor_digits(m, window(m, prev), r, pw)
         assert_encodes(r, c)
     c, other = random_config(rng, m), random_config(rng, m)
     if c.state not in m.halt_states:
-        assert_encodes(successor_digits(m, c, config_digits(m, c), pw), tm_step(m, c))
+        assert_encodes(successor_digits(m, window(m, c), config_digits(m, c), pw), tm_step(m, c))
         # on another configuration's point the maps act as c's branch does
-        got = successor_digits(m, c, config_digits(m, other), pw)
+        got = successor_digits(m, window(m, c), config_digits(m, other), pw)
         want = derive_branch(m, window(m, c)).apply(encode_config(m, other))
         assert kernel.point(kernel.of_digits(got)) == want
 

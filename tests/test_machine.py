@@ -1,11 +1,12 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tm2net import cli
 from tm2net.encode import encode_config
-from tm2net.gshift import build_gshift, run_gs
+from tm2net.gshift import build_gshift, gs_step, gs_tape_step, run_gs
 from tm2net.machine import (
     Config,
     HaltedConfigError,
@@ -16,12 +17,15 @@ from tm2net.machine import (
     Trace,
     TuringMachine,
     canonical_config,
+    config_of,
     initial_config,
     machine_to_text,
     parse_machine,
     run_tm,
+    tape_of,
     tape_string,
     tm_step,
+    tm_tape_step,
 )
 from tm2net.nda import build_nda, run_nda
 from tm2net.network import build_network, initial_state, run_network
@@ -232,14 +236,44 @@ def test_streamed_runs_yield_the_states_of_run_star(seed, max_steps):
         # every run_* collects its run in one record, under its level's names too
         assert type(trace) is Trace
         assert trace.configs is trace.points is trace.states
-        # nda streams kernel states: compare them through the kernel's points
-        point = build_nda(m).kernel.point if level == "nda" else (lambda s: s)
+        # tm and gs stream tapes, nda kernel states: compare them through the
+        # level's configurations and the kernel's points
+        point = {"tm": to_config, "gs": to_config,
+                 "nda": build_nda(m).kernel.point}.get(level, lambda s: s)
         assert s0 == point(start(c0))
         assert tuple(map(point, run)) == trace.states
         assert (run.steps, point(run.final), run.halted) == (trace.steps, trace.final, trace.halted)
         assert trace.steps == len(trace.states) - 1 and trace.final == trace.states[-1]
         assert tuple(map(point, run)) == trace.states  # iterating again replays the run
         assert to_config(run.final) == run_tm(m, c0, max_steps).configs[run.steps]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.integers(0, 3), max_size=4),
+       st.lists(st.integers(0, 3), max_size=4), st.integers(0, 30))
+def test_tape_steps_equal_the_config_steps(seed, left, right, max_steps):
+    # short halves of any symbols, blanks at the edges and empty halves
+    # included, so that left moves run off the left end
+    rng = random.Random(seed)
+    m = random_machine(rng)
+    cells = [m.tape_symbols[i % m.n_symbols] for i in left + right]
+    c0 = canonical_config(m, [rng.choice(m.states)] + cells[:len(left)], cells[len(left):])
+    g = build_gshift(m)
+    for tape_step, trace in ((partial(tm_tape_step, m), run_tm(m, c0, max_steps)),
+                             (partial(gs_tape_step, g), run_gs(g, c0, max_steps))):
+        run = Run(tape_step, tape_of(c0), max_steps)
+        tapes = tuple(run)
+        assert tuple(map(config_of, tapes)) == trace.configs
+        assert (run.steps, run.halted) == (trace.steps, trace.halted)
+        for t in tapes:
+            c = config_of(t)
+            # no list ends in a blank
+            assert len(c.alpha) == 1 or c.alpha[-1] != m.blank
+            assert not c.beta or c.beta[-1] != m.blank
+            if c.state in m.halt_states:
+                assert tape_step(t) is None
+            else:
+                assert config_of(tape_step(t)) == tm_step(m, c) == gs_step(g, c)
 
 
 def test_initial_config(flip):

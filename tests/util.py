@@ -7,7 +7,7 @@ import random
 import runpy
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 from tm2net.encode import Point
@@ -166,36 +166,37 @@ def fraction_step(auto, pt, net: bool = False):
 
 def compare_per_step(m: TuringMachine, word, max_steps: int, auto=None, net=None):
     """The per-step compare that ``cli.compare_levels`` replaced, kept as its
-    oracle: tm's whole trace first, then every configuration encoded and
-    checked against gs, nda and net, nda stepped by the Fraction oracle.
-    Calls go through the modules, so a monkeypatched fault reaches both."""
+    oracle: tm's whole run of tapes first, then every configuration encoded
+    and checked against gs's, nda's and net's, gs stepped on its own tapes
+    and nda by the Fraction oracle.  Calls go through the modules, tm and gs
+    through their tape steps, so a monkeypatched fault reaches both."""
     from tm2net import cli, encode, gshift, machine, nda, network
 
     c0 = machine.initial_config(m, word)
-    tm_trace = machine.run_tm(m, c0, max_steps)
-    steps = tm_trace.steps
+    tm_run = machine.Run(partial(machine.tm_tape_step, m), machine.tape_of(c0), max_steps)
+    tm_configs = [machine.config_of(t) for t in tm_run]
+    steps, halted = tm_run.steps, tm_run.halted
     gs = gshift.build_gshift(m)
     auto = auto if auto is not None else nda.build_nda(m)
     net = net if net is not None else network.build_network(auto)
 
-    gs_c = c0
+    gs_t = machine.tape_of(c0)
     pt = encode.encode_config(m, c0)
     state = network.initial_state(net, pt)
     for t in range(steps + 1):
-        tm_c = tm_trace.configs[t]
+        tm_c, gs_c = tm_configs[t], machine.config_of(gs_t)
         reference = encode.encode_config(m, tm_c)
         if gs_c != tm_c:
-            return cli.CompareResult(False, steps, tm_trace.halted,
+            return cli.CompareResult(False, steps, halted,
                                      (t, "tm", "gs", reference, encode.encode_config(m, gs_c)))
         for level, got in (("nda", pt), ("net", encode.Point(*state.mcl))):
             if got != reference:
-                return cli.CompareResult(False, steps, tm_trace.halted,
-                                         (t, "tm", level, reference, got))
+                return cli.CompareResult(False, steps, halted, (t, "tm", level, reference, got))
         if t < steps:
-            gs_c = gshift.gs_step(gs, gs_c)
+            gs_t = gshift.gs_tape_step(gs, gs_t) or gs_t  # a halt rule stays, as in gs_step
             pt = fraction_step(auto, pt)
             state = network.net_step(net, state)
-    return cli.CompareResult(True, steps, tm_trace.halted)
+    return cli.CompareResult(True, steps, halted)
 
 
 @lru_cache(maxsize=8)
