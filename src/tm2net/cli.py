@@ -23,6 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
+from math import lcm
 
 from . import encode, gshift, machine, nda, network
 from .encode import EncodingError, Point, encode_config, rat_str
@@ -276,20 +277,13 @@ def _replay(m, tm_run, gs, auto, net):
         point = encode_config(m, tm_c)
         if gs_c != tm_c:  # both canonical, so equal exactly when their points are
             return (t, "tm", "gs", point, encode_config(m, gs_c)), None
-        for level, k, got, at in (("nda", kernel, s, cell),
-                                  ("net", state.kernel, state.scaled, state.corner)):
-            if k.point(got) != point:
-                return (t, "tm", level, point, k.point(got)), _branch(auto, net, level, at)
+        for level, k, got, at, table in (
+                ("nda", kernel, s, cell, auto.table),
+                ("net", state.kernel, state.scaled, state.corner, net.branch_params)):
+            if k.point(got) != point:  # the branch from ``at``, in the level's own table
+                branch = None if at is None else (at, table[at[0] * table.n_s + at[1]])
+                return (t, "tm", level, point, k.point(got)), branch
     return None, None
-
-
-def _branch(auto, net, level: str, cell) -> tuple | None:
-    """(cell, ((lambda_x, a_x), (lambda_y, a_y))) in ``level``'s own table."""
-    if cell is None:
-        return None
-    if level == "net":
-        return cell, net.branch_params[cell[0] * net.n_s + cell[1]]
-    return cell, nda._params(auto.branches[cell])
 
 
 def _load_machine(path: str) -> TuringMachine:
@@ -416,11 +410,17 @@ def cmd_info(args) -> int:
     print(f"cells: {len(ltl)}, MCL: 2, BSL: {len(bsl_x) + len(bsl_y)}, "
           f"LTL: {2 * len(ltl)}, bias: 1, total: {net.n_units}")
     print(f"h: {rat_str(net.h)}")
-    lambdas = {lam for cell in net.branch_params for lam, _ in cell}
-    offsets = {a - net.h for cell in net.branch_params for _, a in cell}
+    table = net.branch_params
+    lambdas = {lam for pair in table.pairs for lam in (pair[:2], pair[2:])}  # as num, den
+    # a bias offset is a - h, one per distinct a = alpha/(c*n_s**j) of a row:
+    # over L = lcm(c_x, c_y), free of n_s's primes as c is, a is one (alpha*L/c, j)
+    scale_x, scale_y = (lcm(*table.c) // c for c in table.c)
+    offsets = set()
+    for _, ax, jx, _, ay, jy in map(table.row, range(len(table))):
+        offsets.update(((ax * scale_x, jx), (ay * scale_y, jy)))
     # a BSL unit's threshold is its grid line; the last bound, 1, has none
     thresholds = {b for bounds in nda.grid_bounds(net.n_q, net.n_s) for b in bounds[:-1]}
-    print(f"weights: {len(net.weights)} edges; values 1 and +-h/2, "
+    print(f"weights: {network.edge_count(net.n_q, net.n_s)} edges; values 1 and +-h/2, "
           f"{len(lambdas)} distinct scale weights, "
           f"{len(offsets)} distinct bias offsets, "
           f"{len(thresholds)} distinct thresholds")

@@ -10,7 +10,7 @@ map therefore commutes exactly with stepping the machine.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -33,19 +33,25 @@ class CellRangeError(ValueError):
 
 @dataclass(frozen=True)
 class Partition:
-    """Rectangular grid with exact rational cell boundaries."""
+    """Rectangular grid with exact rational cell boundaries, built on first read."""
 
     machine: TuringMachine
-    x_bounds: tuple[Fraction, ...]  # len n_x_cells + 1, from 0 to 1
-    y_bounds: tuple[Fraction, ...]  # len n_y_cells + 1
 
     @property
     def n_x_cells(self) -> int:
-        return len(self.x_bounds) - 1
+        return self.machine.n_states * self.machine.n_symbols
 
     @property
     def n_y_cells(self) -> int:
-        return len(self.y_bounds) - 1
+        return self.machine.n_symbols
+
+    @cached_property
+    def x_bounds(self) -> tuple[Fraction, ...]:  # len n_x_cells + 1, from 0 to 1
+        return grid_bounds(self.machine.n_states, self.machine.n_symbols)[0]
+
+    @cached_property
+    def y_bounds(self) -> tuple[Fraction, ...]:  # len n_y_cells + 1
+        return grid_bounds(self.machine.n_states, self.machine.n_symbols)[1]
 
     def cell_of_triple(self, t: Triple) -> tuple[int, int]:
         m = self.machine
@@ -70,7 +76,7 @@ def grid_bounds(n_q: int, n_s: int) -> tuple[tuple[Fraction, ...], tuple[Fractio
 
 
 def build_partition(m: TuringMachine) -> Partition:
-    return Partition(m, *grid_bounds(m.n_states, m.n_symbols))
+    return Partition(m)
 
 
 def cell_of_point(p: Partition, pt: Point) -> tuple[int, int]:
@@ -112,11 +118,6 @@ class Branch:
     @property
     def is_identity(self) -> bool:
         return (self.a_x, self.a_y, self.lambda_x, self.lambda_y) == (0, 0, 1, 1)
-
-
-def _params(br: Branch) -> tuple:
-    """A branch as ((lambda_x, a_x), (lambda_y, a_y)), a network's cell entry."""
-    return (br.lambda_x, br.a_x), (br.lambda_y, br.a_y)
 
 
 def transition_form(m: TuringMachine, q: str, z: str) -> tuple:
@@ -178,40 +179,6 @@ class Kernel:
         self.shape, self.powers = (n_q * n_s, n_s), [1]
         self.f = _free(n_q, n_s)
         self.u, self.e = _scaled(1, n_q, self.f, n_s)  # 1/n_q = u/(f*ns**e)
-
-    @classmethod
-    def of_machine(cls, m: TuringMachine) -> Kernel:
-        """The kernel of ``build_nda(m)``'s table, without building the table.
-        Every offset's denominator divides n_q*ns**2, so c = (f, 1).  It keeps
-        one record per transition, ``transition_form`` with the x offsets put
-        over f*ns**(t+e) (1/n_q = u/(f*ns**e)), for ``_machine_row``."""
-        nq, ns = m.n_states, m.n_symbols
-        f = _free(nq, ns)
-        u, e = _scaled(1, nq, f, ns)
-        forms = [((ex, x0 * u, x1 * u, tx + e), y)
-                 for q in m.states for z in m.tape_symbols
-                 for (ex, x0, x1, tx), y, _ in [transition_form(m, q, z)]]
-        return cls(nq, ns, (f, 1), partial(_machine_row, forms, ns))
-
-    @classmethod
-    def of_params(cls, n_q: int, n_s: int, params) -> Kernel:
-        """The kernel of any table, ``params[i*n_s + j]`` = ((lambda_x,
-        a_x), (lambda_y, a_y)) of cell (i, j): one pass checks every lambda
-        and finds c, and a cell's row is derived on use."""
-        exponent = {Fraction(1, n_s): -1, 1: 0, n_s: 1}
-        c = [_free(n_q, n_s), 1]
-        for u, cell in enumerate(params):
-            for axis, (lam, a) in enumerate(cell):
-                if lam not in exponent:
-                    raise ValueError(f"cell {divmod(u, n_s)}: lambda {lam} is not 1/n_s, 1 or n_s")
-                c[axis] = lcm(c[axis], _free(a.denominator, n_s))
-
-        def row(u: int) -> tuple:
-            (lx, ax), (ly, ay) = params[u]
-            return (exponent[lx], *_scaled(ax.numerator, ax.denominator, c[0], n_s),
-                    exponent[ly], *_scaled(ay.numerator, ay.denominator, c[1], n_s))
-
-        return cls(n_q, n_s, tuple(c), row)
 
     def ratios(self, s: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
         """The state's coordinates as integer ratios (N, c*ns**k)."""
@@ -281,10 +248,103 @@ def _widened(table, rx: int, ry: int, u: int) -> tuple:
     return ex, ax * rx, jx, ey, ay * ry, jy
 
 
+class BranchTable(Sequence):
+    """The branch table nda and net share, a sequence like the tuple of its
+    entries: entry u = i*n_s + j, cell (i, j)'s ((lambda_x, a_x), (lambda_y,
+    a_y)), is read off the integer ``row(u)``, (e, alpha, j) per axis for
+    lambda = n_s**e and a = alpha/(c*n_s**j).  ``pairs`` maps each lambda
+    pair (num_x, den_x, num_y, den_y) to its first cell and largest a_x and
+    a_y; ``peak`` is max(a + lambda) over every cell and axis."""
+
+    def __init__(self, n_q: int, n_s: int, c: tuple[int, int], row, pairs: dict, peak: Fraction):
+        self.n_q, self.n_s, self.c, self.row, self.pairs, self.peak = n_q, n_s, c, row, pairs, peak
+
+    @classmethod
+    def of_machine(cls, m: TuringMachine) -> BranchTable:
+        """``m``'s table from one record per transition for ``_machine_row``:
+        ``transition_form`` with c = (f, 1), the x offsets over f*ns**(t+e)
+        (1/n_q = u/(f*ns**e)).  a is linear in the window's X, so its largest
+        value is at X = 0 or n_s - 1; all are compared over f*ns**(2+e)."""
+        nq, ns = m.n_states, m.n_symbols
+        f = _free(nq, ns)
+        u, e = _scaled(1, nq, f, ns)
+        forms, tops, k = [], {}, 2 + e
+        for q in m.states:
+            for z in m.tape_symbols:
+                (ex, x0, x1, tx), (ey, y0, y1, ty), _ = transition_form(m, q, z)
+                x0, x1, i = x0 * u, x1 * u, len(forms)  # its first cell: (q*ns + 0)*ns + z
+                bx = (x0 + x1 * (ns - 1) if x1 > 0 else x0) * ns ** (k - e - tx)
+                by = (y0 + y1 * (ns - 1) if y1 > 0 else y0) * ns ** (k - ty) * f
+                top = tops.setdefault((ex, ey), [i // ns * ns * ns + i % ns, bx, by])
+                top[1:] = max(top[1], bx), max(top[2], by)
+                forms.append(((ex, x0, x1, tx + e), (ey, y0, y1, ty)))
+        lam, den = {-1: (1, ns), 0: (1, 1), 1: (ns, 1)}, f * ns ** k
+        peak = max(max(ax + f * ns ** (k + ex), ay + f * ns ** (k + ey))
+                   for (ex, ey), (_, ax, ay) in tops.items())
+        return cls(nq, ns, (f, 1), partial(_machine_row, forms, ns),
+                   {lam[ex] + lam[ey]: (first, Fraction(ax, den), Fraction(ay, den))
+                    for (ex, ey), (first, ax, ay) in tops.items()}, Fraction(peak, den))
+
+    @classmethod
+    def of_params(cls, n_q: int, n_s: int, params) -> BranchTable:
+        """The table of explicit entries, ``params[i*n_s + j]`` of cell
+        (i, j), in one pass over them."""
+        params, c, tops = tuple(params), (_free(n_q, n_s), 1), {}
+        for u, ((lx, ax), (ly, ay)) in enumerate(params):
+            c = lcm(c[0], _free(ax.denominator, n_s)), lcm(c[1], _free(ay.denominator, n_s))
+            top = tops.setdefault((lx.numerator, lx.denominator, ly.numerator, ly.denominator),
+                                  [u, ax, ay])
+            top[1:] = max(top[1], ax), max(top[2], ay)
+        exponent = {Fraction(n_s) ** e: e for e in (-1, 0, 1)}
+
+        def row(u: int) -> tuple:
+            (lx, ax), (ly, ay) = params[u]
+            return (exponent[lx], *_scaled(ax.numerator, ax.denominator, c[0], n_s),
+                    exponent[ly], *_scaled(ay.numerator, ay.denominator, c[1], n_s))
+
+        return cls(n_q, n_s, c, row, tops, max(max(ax + Fraction(nx, dx), ay + Fraction(ny, dy))
+                                               for (nx, dx, ny, dy), (_, ax, ay) in tops.items()))
+
+    @cached_property
+    def kernel(self) -> Kernel:
+        """The table on scaled integers; every lambda must be 1/n_s, 1 or n_s."""
+        ns = self.n_s
+        for pair, (u, *_) in self.pairs.items():
+            for lam in pair[:2], pair[2:]:
+                if lam not in ((1, ns), (1, 1), (ns, 1)):
+                    raise ValueError(f"cell {divmod(u, ns)}: lambda {Fraction(*lam)} "
+                                     "is not 1/n_s, 1 or n_s")
+        return Kernel(self.n_q, ns, self.c, self.row)
+
+    @cached_property
+    def lambdas(self) -> dict:
+        return {e: Fraction(self.n_s) ** e for e in (-1, 0, 1)}
+
+    def __len__(self) -> int:
+        return self.n_q * self.n_s * self.n_s
+
+    def __getitem__(self, u):
+        if isinstance(u, slice):
+            return tuple(map(self.__getitem__, range(len(self))[u]))
+        ex, ax, jx, ey, ay, jy = self.row(range(len(self))[u])
+        (cx, cy), ns = self.c, self.n_s
+        return ((self.lambdas[ex], Fraction(ax, cx * ns ** jx)),
+                (self.lambdas[ey], Fraction(ay, cy * ns ** jy)))
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __hash__(self):  # the tuple's, as equality is; cached, being O(cells)
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(self))
+
+
 class Branches(Mapping):
-    """A machine's branch table, cell (i, j) to ``Branch``, derived by
-    ``derive_branch`` on every read: nothing is built per cell up front.
-    Iterating it gives every cell in row-major order."""
+    """A machine's branches, cell (i, j) to ``Branch`` by ``derive_branch`` on
+    every read, nothing kept; iterating it gives every cell in row-major order."""
 
     def __init__(self, partition: Partition):
         self.partition = partition
@@ -301,18 +361,6 @@ class Branches(Mapping):
     def __len__(self) -> int:
         return self.partition.n_x_cells * self.partition.n_y_cells
 
-    @cached_property
-    def peak(self) -> Fraction:
-        """max(a + lambda) over every cell and axis, from the transitions
-        alone: a is linear in the window's X, so the maximum is at X = 0 or
-        X = n_s - 1.  Taken on integers over n_q*n_s**2."""
-        m = self.partition.machine
-        nq, ns = m.n_states, m.n_symbols
-        return Fraction(max(w * (a0 + a1 * x) * ns ** (2 - t) + nq * ns ** (2 + e)
-                            for q in m.states for z in m.tape_symbols
-                            for w, (e, a0, a1, t) in zip((1, nq), transition_form(m, q, z)[:2])
-                            for x in (0, ns - 1)), nq * ns * ns)
-
 
 @dataclass(frozen=True)
 class Nda:
@@ -323,20 +371,24 @@ class Nda:
     branches: Mapping[tuple[int, int], Branch]
 
     @cached_property
+    def table(self) -> BranchTable:
+        """An explicit dict's table, made on first use; ``build_nda`` sets a machine's."""
+        m, p = self.machine, self.partition
+        branches = map(self.branches.__getitem__, product(range(p.n_x_cells), range(p.n_y_cells)))
+        return BranchTable.of_params(m.n_states, m.n_symbols, (
+            ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y)) for b in branches))
+
+    @property
     def kernel(self) -> Kernel:
-        """The table on scaled integers, rows derived on use: a machine's
-        (``Branches``) from its transitions, else from the dict."""
-        if isinstance(self.branches, Branches):
-            return Kernel.of_machine(self.machine)
-        cells = product(range(self.partition.n_x_cells), range(self.partition.n_y_cells))
-        return Kernel.of_params(self.machine.n_states, self.machine.n_symbols,
-                                [_params(self.branches[cell]) for cell in cells])
+        return self.table.kernel
 
 
 def build_nda(m: TuringMachine) -> Nda:
-    """``m``'s switched system; its branches are derived on read (``Branches``)."""
+    """``m``'s switched system: branches derived on read, table from the transitions."""
     p = build_partition(m)
-    return Nda(m, p, Branches(p))
+    auto = Nda(m, p, Branches(p))
+    auto.__dict__["table"] = BranchTable.of_machine(m)  # Nda.table's cache: read no branch
+    return auto
 
 
 def nda_step(nda: Nda, pt: Point) -> Point:

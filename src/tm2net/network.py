@@ -23,14 +23,13 @@ to show how expansion destroys the encoding, keeps the sweep's rounding.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 
 from .encode import Point, parse_rat, rat_str
-from .machine import Run, Trace
-from .nda import Branches, Kernel, Nda, _params, grid_bounds
+from .machine import Run, Trace, _Rows
+from .nda import BranchTable, Kernel, Nda, grid_bounds
 
 HALT_ATOL = 1e-9  # float-mode fixed-point tolerance per coordinate
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -60,6 +59,12 @@ def unit_count(n_q: int, n_s: int) -> int:
     return 2 + n_s + n_s * n_q + 2 * n_s * n_s * n_q + 1
 
 
+def edge_count(n_q: int, n_s: int) -> int:
+    """Total edges of ``_wire`` on n_x = n_q*n_s by n_y = n_s cells: 2(n_x +
+    n_y) - 2 into the BSL and 7 per LTL unit, one less per axis on its last row."""
+    return 14 * n_q * n_s * n_s - 2
+
+
 def _unit_ids(n_q: int, n_s: int) -> tuple[range, range, range]:
     """Ids of the BSL x units, the BSL y units and the LTL x units.
 
@@ -83,10 +88,11 @@ class Unit:
 @dataclass(frozen=True)
 class Network:
     """A network is its branch table: h and the per-cell ``branch_params``
-    that ``_wire`` takes.  ``units`` and ``weights``, which maps (from unit
-    id, to unit id) to the exact weight and omits zero entries, are derived
-    on first read.  The machine enumeration tables travel along so a
-    serialized network stays decodable.
+    that ``_wire`` takes, an ``nda.BranchTable`` (given a tuple of entries,
+    the constructor makes one).  ``units`` and ``weights``, which maps (from
+    unit id, to unit id) to the exact weight and omits zero entries, are
+    derived on first read.  The machine enumeration tables travel along so
+    a serialized network stays decodable.
     """
 
     n_q: int
@@ -94,45 +100,40 @@ class Network:
     states: tuple[str, ...]
     symbols: tuple[str, ...]
     h: Fraction
-    branch_params: tuple  # or a machine's BranchParams, which equals its tuple
+    branch_params: BranchTable
 
     def __post_init__(self):
         """Enforce the bounds that make the sparse step equal the sweep.
 
         Off its staircase corner an LTL unit receives at most h/2 from the
         BSL, so over [0, 1]^2 its input is at most lambda + a - h/2 <= 0.
-        A machine's table (``BranchParams``) has the construction's lambda
-        pairs and 0 < lambda, so only h/2 >= its peak is checked, in O(1).
+        The table's lambda pairs and its peak max(a + lambda) are checked.
         """
         if not self.h > 0:
             raise NetworkFormatError("h must be positive")
-        ltl, half = _unit_ids(self.n_q, self.n_s)[2], self.h / 2
-        if len(self.branch_params) != len(ltl):
+        n_q, ns, half, table = self.n_q, self.n_s, self.h / 2, self.branch_params
+        if len(table) != n_q * ns * ns:
             raise NetworkFormatError("branch_params needs one entry per cell")
-        if isinstance(self.branch_params, BranchParams):
-            if self.branch_params.branches.peak > half:
-                raise NetworkFormatError(f"h/2 = {half} is below the machine's max(a + lambda)")
-            return
-        ns = self.n_s  # (lambda_x, lambda_y) of R, L and halt cells, as num, den
-        constructed = {(1, ns, ns, 1), (ns, 1, 1, ns), (1, 1, 1, 1)}
-        for c, (t, params) in enumerate(zip(ltl, self.branch_params)):
-            for u, kind, (lam, a) in zip((t, t + 1), (LTL_X, LTL_Y), params):
-                if not (lam > 0 and a + lam <= half):
-                    raise NetworkFormatError(
-                        f"{kind} {u}: lambda = {lam} and a = {a} break "
-                        f"0 < lambda and a + lambda <= h/2 = {half}")
-            (lx, _), (ly, _) = params
-            if (lx.numerator, lx.denominator, ly.numerator, ly.denominator) not in constructed:
-                raise NetworkFormatError(f"cell {divmod(c, ns)}: lambda pair ({lx}, {ly}) "
-                                         "is not (1/n_s, n_s), (n_s, 1/n_s) or (1, 1)")
+        if not isinstance(table, BranchTable):  # explicit entries: one pass
+            table = BranchTable.of_params(n_q, ns, table)
+            object.__setattr__(self, "branch_params", table)
+        if (table.n_q, table.n_s) != (n_q, ns):
+            raise NetworkFormatError(
+                f"a {table.n_q} x {table.n_s} branch table for n_q={n_q}, n_s={ns}")
+        for (nx, dx, ny, dy), (u, *_) in table.pairs.items():
+            if (nx, dx, ny, dy) not in {(1, ns, ns, 1), (ns, 1, 1, ns), (1, 1, 1, 1)}:  # R, L, halt
+                pair = f"cell {divmod(u, ns)}: lambda pair ({Fraction(nx, dx)}, {Fraction(ny, dy)})"
+                raise NetworkFormatError(
+                    f"{pair} breaks 0 < lambda and a + lambda <= h/2 = {half}" if min(nx, ny) <= 0
+                    else f"{pair} is not (1/n_s, n_s), (n_s, 1/n_s) or (1, 1)")
+        if table.peak > half:
+            raise NetworkFormatError(f"h/2 = {half} is below the machine's max(a + lambda), "
+                                     f"{table.peak}: 0 < lambda and a + lambda <= h/2 fails")
 
-    @cached_property
+    @property
     def kernel(self) -> Kernel:
-        """The table on scaled integers, rows derived on use: a machine's
-        (``BranchParams``) nda's own, else ``Kernel.of_params`` of the tuple."""
-        if isinstance(self.branch_params, BranchParams):
-            return self.branch_params.nda.kernel
-        return Kernel.of_params(self.n_q, self.n_s, self.branch_params)
+        """The table's: a machine's network shares its nda's."""
+        return self.branch_params.kernel
 
     @cached_property
     def units(self) -> tuple[Unit, ...]:
@@ -144,21 +145,24 @@ class Network:
 
     @cached_property
     def _float_table(self) -> tuple:
-        """The float64 weights, built on the first float step (see ``_float_step``).
-        A weight beyond the float64 range raises NetworkFormatError."""
-        try:  # the weights -h/2, -lo and 1 are in range when h/2 and lo are
-            half, pairs, cells = float(self.h / 2), {}, []
-            for (lx, ax), (ly, ay) in self.branch_params:
-                a = float(ax - self.h), float(ay - self.h)
-                top = pairs.setdefault((float(lx), float(ly)), [len(pairs), *a])
-                top[1:] = map(max, top[1:], a)
-                cells.append((top[0], *a))
-        except OverflowError as exc:
-            raise NetworkFormatError(f"a weight exceeds the float64 range: {exc}") from exc
+        """The float64 weights, built on the first float step (see
+        ``_float_step``): per lambda pair its largest a - h, rounding being
+        monotone, and a cell's (pair, a - h) on its first read.  A weight
+        beyond the float64 range raises NetworkFormatError."""
+        table, h = self.branch_params, self.h
+        pairs = [(nx / dx, ny / dy, _float(ax - h), _float(ay - h))
+                 for (nx, dx, ny, dy), (_, ax, ay) in table.pairs.items()]
+        index = {pair: p for p, pair in enumerate(table.pairs)}
+
+        def cell(u: int) -> tuple:
+            (lx, ax), (ly, ay) = table[u]
+            pair = lx.numerator, lx.denominator, ly.numerator, ly.denominator
+            return index[pair], _float(ax - h), _float(ay - h)
+
+        half = _float(h / 2)  # the weights -h/2, -lo and 1 are in range when h/2 and lo are
         xs, ys = (tuple(map(float, b[:-1])) for b in grid_bounds(self.n_q, self.n_s))
         lines = (half, -half), (half,), ()  # per place: below, at, above the corner
-        return xs, ys, tuple(tuple(a + b for b in lines) for a in lines), [
-            lams + tuple(top[1:]) for lams, top in pairs.items()], cells
+        return xs, ys, tuple(tuple(a + b for b in lines) for a in lines), pairs, _Rows(cell)
 
     @property
     def n_units(self) -> int:
@@ -188,6 +192,13 @@ class Network:
 
     def weight(self, src: int, dst: int) -> Fraction:
         return self.weights.get((src, dst), Fraction(0))
+
+
+def _float(v: Fraction) -> float:
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise NetworkFormatError(f"a weight exceeds the float64 range: {exc}") from exc
 
 
 def _layout_units(n_q: int, n_s: int) -> tuple[Unit, ...]:
@@ -233,56 +244,16 @@ def _wire(n_q: int, n_s: int, h: Fraction, branch_params) -> dict[tuple[int, int
     return weights
 
 
-class BranchParams(Sequence):
-    """The ``branch_params`` of a machine's network: its nda's ``Branches`` as
-    ((lambda_x, a_x), (lambda_y, a_y)) per cell index, derived on read.  It
-    indexes, slices and compares equal like the tuple of its items."""
-
-    def __init__(self, nda: Nda):
-        self.nda, self.branches = nda, nda.branches
-
-    def __len__(self) -> int:
-        return len(self.branches)
-
-    def __getitem__(self, c):
-        if isinstance(c, slice):
-            return tuple(map(self.__getitem__, range(len(self))[c]))
-        return _params(self.branches[divmod(range(len(self))[c], self.branches.partition.n_y_cells)])
-
-    def __iter__(self):
-        return map(_params, self.branches.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, BranchParams)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self):  # the tuple's, as equality is; cached, being O(cells)
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(tuple(self))
-
-
 def build_network(nda: Nda) -> Network:
     """Wire the network for a switched system; h is the minimal valid bias.
 
     The bias satisfies h/2 >= max(a + lambda) over all branch parameters,
     taken with equality: a ramp unit at exactly zero input stays silent, so
-    the half-excited partial sum h/2 can never fire a wrong cell.  A
-    machine's table (``nda.Branches``) is wrapped, not built: its peak comes
-    from the transitions, and the network shares the nda's kernel.
+    the half-excited partial sum h/2 can never fire a wrong cell.
     """
     mach = nda.machine
-    n_q, n_s = mach.n_states, mach.n_symbols
-    if isinstance(nda.branches, Branches):
-        params, peak = BranchParams(nda), nda.branches.peak
-    else:
-        params = tuple(_params(br) for _, br in sorted(nda.branches.items()))
-        peak = max(a + lam for cell in params for lam, a in cell)
-    return Network(n_q=n_q, n_s=n_s, states=mach.states, symbols=mach.tape_symbols,
-                   h=2 * peak, branch_params=params)
+    return Network(n_q=mach.n_states, n_s=mach.n_symbols, states=mach.states,
+                   symbols=mach.tape_symbols, h=2 * nda.table.peak, branch_params=nda.table)
 
 
 @dataclass(slots=True, eq=False)  # not frozen: that would triple the cost of a step

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib
 import importlib.util
@@ -5,8 +6,10 @@ import io
 import json
 import pathlib
 import random
+import re
 import runpy
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 
@@ -29,7 +32,9 @@ from tm2net.encode import encode_config, parse_rat
 from tm2net.machine import Config, initial_config, parse_machine, run_tm
 from tm2net.nda import Branch, Nda, build_nda
 
-from util import bench_run, compare_per_step, random_input, random_machine
+from util import bench_run, compare_per_step, info_oracle, random_input, random_machine
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def read_csv(path):
@@ -505,7 +510,7 @@ def test_compare_steps_nda_and_net_on_one_kernel(flip, monkeypatch):
 
 def test_compare_names_the_net_branch_of_a_machine_network(flip, monkeypatch):
     # a net step that steps twice once the state has a corner: net leaves
-    # tm at step 2, and the branch is read from the machine's BranchParams
+    # tm at step 2, and the branch is read from the machine's BranchTable
     real, seen = network.net_step, []
 
     def net_step(net, s):
@@ -580,6 +585,56 @@ def test_info_output(flip_path, capsys):
 def test_info_stub74(stub74_path, capsys):
     assert main(["info", str(stub74_path)]) == EXIT_OK
     assert "total: 259" in capsys.readouterr().out
+
+
+INFO_WEIGHTS = re.compile(r"weights: (\d+) edges; values 1 and \+-h/2, (\d+) distinct scale "
+                          r"weights, (\d+) distinct bias offsets, (\d+) distinct thresholds\n")
+
+
+def info_counts(path) -> tuple[int, int, int, int]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["info", str(path)]) == EXIT_OK
+    return tuple(map(int, INFO_WEIGHTS.search(out.getvalue()).groups()))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "bench" / "machines").glob("*.tm"))
+                         + [ROOT / "fixtures" / "flip.tm", ROOT / "fixtures" / "stub_7x4.tm"],
+                         ids=lambda p: p.name)
+def test_info_counts_equal_the_weight_dict_oracle(path):
+    net = network.build_network(build_nda(parse_machine(path.read_text())))
+    assert info_counts(path) == info_oracle(net)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_info_counts_equal_the_weight_dict_oracle_on_random_machines(rng):
+    m = random_machine(rng, max_states=5, max_symbols=6)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "m.tm"
+        path.write_text(machine.machine_to_text(m))
+        assert info_counts(path) == info_oracle(network.build_network(build_nda(m)))
+
+
+def test_info_and_a_float64_run_build_no_weight_dict_and_no_branch(monkeypatch, tmp_path):
+    # 3 states and 200 symbols: 120,000 cells, of which info reads every row
+    # once and builds nothing per cell, and a 10-step float64 run only the
+    # cells its exact and its float run step from
+    rng = random.Random(9)
+    m = random_machine(rng, shape=(3, 200))
+    path = tmp_path / "m.tm"
+    path.write_text(machine.machine_to_text(m))
+    calls = []
+    for module, name in ((network, "_wire"), (nda, "derive_branch")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
+    assert info_counts(path) == (1_679_998, 3, 29_771, 600)  # as the weight dict gave
+    assert calls == []
+    rows, real_row = [], nda._machine_row
+    monkeypatch.setattr(nda, "_machine_row", lambda f, ns, u: rows.append(u) or real_row(f, ns, u))
+    report, _ = run_level(m, random_input(rng, m, 8), "net", 10, "float64")
+    assert report.mode == "float64" and calls == []
+    assert 1 <= len(set(rows)) <= 22
 
 
 def test_outputs_deterministic(flip_path, tmp_path):

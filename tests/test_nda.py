@@ -286,7 +286,7 @@ def test_the_table_derived_on_read_equals_the_table_built_up_front(rng):
     auto, eager = build_nda(m), eager_nda(m)
     assert list(auto.branches.items()) == list(eager.branches.items())
     assert auto.branches == eager.branches and len(auto.branches) == len(eager.branches)
-    full = eager.kernel  # Kernel.of_params of the Fraction table
+    full = eager.kernel  # BranchTable.of_params of the Fraction table
     cells = list(range(len(eager.branches)))
     rng.shuffle(cells)  # a row does not depend on the rows derived before it
     assert auto.kernel.c == full.c

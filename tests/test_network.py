@@ -673,17 +673,30 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
                          + [ROOT / "fixtures" / "flip.tm", ROOT / "fixtures" / "stub_7x4.tm"],
                          ids=lambda p: p.name)
 def test_export_of_the_table_derived_on_read_equals_the_eager_tuples(path):
-    # the wrapped machine table against the tuples and the h of a table
-    # built up front, byte for byte
+    # a machine's table against one built up front from per-window Fractions
+    # and one read back from the export: equal networks with equal hashes,
+    # and the same bytes out
     m = parse_machine(path.read_text())
     net, eager = build_network(build_nda(m)), build_network(eager_nda(m))
-    assert isinstance(eager.branch_params, tuple)
+    back = import_network(export_network(net))
+    assert net == eager == back and eager == net and back == net
+    assert hash(net) == hash(eager) == hash(back)
     assert json.dumps(export_network(net)) == json.dumps(export_network(eager))
 
 
 def test_a_machine_table_with_an_h_below_its_peak_is_rejected(flip_net):
     with pytest.raises(NetworkFormatError, match="below the machine's max"):
         dataclasses.replace(flip_net, h=flip_net.h - Fraction(1, 100))
+
+
+def test_a_table_of_another_shape_is_rejected(flip_net):
+    # flip's 2 x 3 table has 18 entries, as an 18 x 1 network needs; as a
+    # table or as the tuple of its entries it is not that network's
+    shape = dict(n_q=18, n_s=1, states=tuple(f"q{i}" for i in range(18)), symbols=("_",))
+    with pytest.raises(NetworkFormatError, match="a 2 x 3 branch table for n_q=18, n_s=1"):
+        dataclasses.replace(flip_net, **shape)
+    with pytest.raises(NetworkFormatError, match=r"cell \(0, 0\): lambda pair \(3, 1/3\) is not"):
+        dataclasses.replace(flip_net, **shape, branch_params=tuple(flip_net.branch_params))
 
 
 def test_a_machine_table_indexes_like_its_tuple(flip_net):

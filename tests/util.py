@@ -13,7 +13,7 @@ from pathlib import Path
 from tm2net.encode import Point
 from tm2net.gshift import Triple
 from tm2net.machine import Config, TuringMachine, canonical_config, parse_machine
-from tm2net.nda import Branch, CellRangeError, Nda, build_partition
+from tm2net.nda import Branch, CellRangeError, Nda, build_partition, grid_bounds
 from tm2net.network import BSL_X, BSL_Y, LTL_X, LTL_Y
 
 MOVES = ("L", "R")
@@ -197,6 +197,18 @@ def compare_per_step(m: TuringMachine, word, max_steps: int, auto=None, net=None
             pt = fraction_step(auto, pt)
             state = network.net_step(net, state)
     return cli.CompareResult(True, steps, halted)
+
+
+def info_oracle(net) -> tuple[int, int, int, int]:
+    """The counts of ``info``'s weights line as it read them off the whole
+    weight dict, every cell and every grid line, kept as the oracle of its
+    closed forms: edges, distinct scale weights, distinct bias offsets and
+    distinct thresholds."""
+    params = tuple(net.branch_params)
+    lambdas = {lam for cell in params for lam, _ in cell}
+    offsets = {a - net.h for cell in params for _, a in cell}
+    thresholds = {b for bounds in grid_bounds(net.n_q, net.n_s) for b in bounds[:-1]}
+    return len(net.weights), len(lambdas), len(offsets), len(thresholds)
 
 
 @lru_cache(maxsize=8)
