@@ -94,12 +94,12 @@ def _tape_level(m: TuringMachine, successor) -> tuple:
 
 
 def _nda_level(m: TuringMachine) -> tuple:
-    # states of the nda's kernel, where every encoded configuration has one
+    # states of the nda's table, where every encoded configuration has one
     auto = nda.build_nda(m)
-    return (lambda c: auto.kernel.fit(encode_config(m, c))[1],
+    return (lambda c: auto.table.fit(encode_config(m, c))[1],
             partial(nda.nda_successor, auto),
-            lambda s: encode.decode_point(m, auto.kernel.point(s)),
-            lambda states, halted: nda.orbit_rows(auto, map(auto.kernel.point, states)))
+            lambda s: encode.decode_point(m, auto.table.point(s)),
+            lambda states, halted: nda.orbit_rows(auto, map(auto.table.point, states)))
 
 
 def _net_level(m: TuringMachine) -> tuple:
@@ -231,29 +231,29 @@ def _agree(m, tm_run, gs, auto, net):
     """Step gs, nda and net beside ``tm_run``'s tapes and check every step:
     gs's step of tm's previous tape against tm's tape (``same_cells``),
     which shares its tail, so gs runs as tm does exactly when every check
-    holds; nda's and net's kernel states against tm's point on integers
-    (``encode.successor_digits``) in the kernel's form, a tuple comparison.
+    holds; nda's and net's table states against tm's point on integers
+    (``encode.successor_digits``) in the table's form, a tuple comparison.
     Returns tm's point on integers after the run, or None at the first
     failed check."""
     c0 = machine.config_of(tm_run.s0)
     point = encode_config(m, c0)
-    kernel, s = auto.kernel.fit(point)
+    table, s = auto.table.fit(point)
     state = network.initial_state(net, point)
     digits, prev = encode.config_digits(m, c0), None
     for tm_t in tm_run:
         if prev is not None:
-            # powers of n_s depend on n_s alone: the kernel's cache serves tm's point
+            # powers of n_s depend on n_s alone: the table's cache serves tm's point
             digits = encode.successor_digits(m, gshift.tape_window(m, prev), digits,
-                                             kernel.powers)
+                                             table.powers)
             gs_t = gshift.gs_tape_step(gs, prev)
             if gs_t is None or not (machine.same_cells(gs_t[0], tm_t[0])
                                     and machine.same_cells(gs_t[1], tm_t[1])):
                 return None
-            s = kernel.step(s)[1]  # as nda_step: halt cells step too
+            s = table.step(s)[1]  # as nda_step: halt cells step too
             state = network.net_step(net, state)
-        want = kernel.of_digits(digits)  # the kernel a machine's network shares
+        want = table.of_digits(digits)  # the table a machine's network shares
         k = state.kernel
-        if want != s or (want if k is kernel else k.of_digits(digits)) != state.scaled:
+        if want != s or (want if k is table else k.of_digits(digits)) != state.scaled:
             return None
         prev = tm_t
     return digits
@@ -266,22 +266,21 @@ def _replay(m, tm_run, gs, auto, net):
     net's Fraction points with tm's encoded one."""
     gs_t = tm_run.s0
     point = encode_config(m, machine.config_of(gs_t))
-    kernel, s = auto.kernel.fit(point)
+    table, s = auto.table.fit(point)
     state, cell = network.initial_state(net, point), None
     for t, tm_t in enumerate(tm_run):
         if t:
             gs_t = gshift.gs_tape_step(gs, gs_t) or gs_t  # a halt rule stays, as in gs_step
-            cell, s = kernel.step(s)
+            cell, s = table.step(s)
             state = network.net_step(net, state)
         tm_c, gs_c = machine.config_of(tm_t), machine.config_of(gs_t)
         point = encode_config(m, tm_c)
         if gs_c != tm_c:  # both canonical, so equal exactly when their points are
             return (t, "tm", "gs", point, encode_config(m, gs_c)), None
-        for level, k, got, at, table in (
-                ("nda", kernel, s, cell, auto.table),
-                ("net", state.kernel, state.scaled, state.corner, net.branch_params)):
+        for level, k, got, at in (("nda", table, s, cell),
+                                  ("net", state.kernel, state.scaled, state.corner)):
             if k.point(got) != point:  # the branch from ``at``, in the level's own table
-                branch = None if at is None else (at, table[at[0] * table.n_s + at[1]])
+                branch = None if at is None else (at, k[at[0] * k.n_s + at[1]])
                 return (t, "tm", level, point, k.point(got)), branch
     return None, None
 

@@ -106,9 +106,9 @@ def _scaled(p: int, d: int, c: int, ns: int) -> tuple[int, int] | None:
 def _digits(value: Fraction, base: int) -> list[int]:
     """Digit extraction, most significant first; inverse of ``godel_value`` on [0, 1).
 
-    The value is N/base**k with k minimal (``_scaled``, the kernel's radix
-    rule), or has no terminating expansion, so termination and the digit
-    count follow from the denominator before any digit is extracted.
+    The value is N/base**k with k minimal (``_scaled``, the branch table's
+    radix rule), or has no terminating expansion, so termination and the
+    digit count follow from the denominator before any digit is extracted.
     """
     if not 0 <= value < 1:
         raise DigitRangeError(f"value {value} outside [0, 1)")

@@ -158,75 +158,6 @@ def derive_branch(m: TuringMachine, triple: Triple) -> Branch:
                   Fraction(ns) ** ex, Fraction(ns) ** ey, triple, action)
 
 
-class Kernel:
-    """One branch table's exact step on scaled integers.
-
-    A state (N_x, k_x, N_y, k_y) is the point (N_x/(c_x*ns**k_x),
-    N_y/(c_y*ns**k_y)); c_x and c_y are the parts of n_q and of the offsets'
-    denominators (and of a start point's: ``fit``) free of ns's primes.  k is
-    minimal, so equal points are equal states.  A branch (ns**e,
-    alpha/(c*ns**j)), six integers (e, alpha, j) per axis in the cell's row
-    ``table[i*ns + j]``, maps N/(c*ns**k) to (N*ns**(K-k+e) +
-    alpha*ns**(K-j))/(c*ns**K) with K = max(k - e, j): per axis a product
-    with a cached power and a sum, then the trailing zero digits stripped
-    to keep k minimal.  ``encode._affine`` is that one step rule.
-    """
-
-    def __init__(self, n_q: int, n_s: int, c: tuple[int, int], row):
-        """The n_q-state, n_s-symbol kernel over c = (c_x, c_y) whose cell u
-        has the row ``row(u)``, derived on the first step into the cell."""
-        self.n_q, self.ns, self.c, self.table = n_q, n_s, c, _Rows(row)
-        self.shape, self.powers = (n_q * n_s, n_s), [1]
-        self.f = _free(n_q, n_s)
-        self.u, self.e = _scaled(1, n_q, self.f, n_s)  # 1/n_q = u/(f*ns**e)
-
-    def ratios(self, s: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The state's coordinates as integer ratios (N, c*ns**k)."""
-        pw = _powers(self.powers, self.ns, s[1] if s[1] > s[3] else s[3])
-        return (s[0], self.c[0] * pw[s[1]]), (s[2], self.c[1] * pw[s[3]])
-
-    def step(self, s: tuple, net: bool = False) -> tuple[tuple[int, int], tuple]:
-        """(cell, next state) of ``s``.  The network's cells (``net``) are
-        closed at 1, and its ramp clips a coordinate at 0."""
-        (nx, dx), (ny, dy) = self.ratios(s)
-        i, j = cell = _cell(nx, dx, ny, dy, self.shape, net)
-        ex, ax, jx, ey, ay, jy = self.table[i * self.ns + j]
-        x = _affine(s[0], s[1], ex, ax, jx, self.ns, self.powers)
-        y = _affine(s[2], s[3], ey, ay, jy, self.ns, self.powers)
-        if net:  # the ramp: a negative coordinate is 0
-            x, y = (x if x[0] >= 0 else (0, 0)), (y if y[0] >= 0 else (0, 0))
-        return cell, x + y
-
-    def fit(self, pt: Point) -> tuple[Kernel, tuple]:
-        """This kernel and ``pt``'s state in it, or the same of a kernel whose
-        c is widened by the primes of ``pt``'s denominators it lacks, its rows
-        this one's rescaled."""
-        xy = [_scaled(v.numerator, v.denominator, c, self.ns) for v, c in zip(pt, self.c)]
-        if None not in xy:
-            return self, xy[0] + xy[1]
-        c = tuple(lcm(c, _free(v.denominator, self.ns)) for c, v in zip(self.c, pt))
-        return Kernel(self.n_q, self.ns, c, partial(
-            _widened, self.table, c[0] // self.c[0], c[1] // self.c[1])).fit(pt)
-
-    def point(self, s: tuple) -> Point:
-        return Point(*(Fraction(n, d) for n, d in self.ratios(s)))
-
-    def of_digits(self, r: tuple) -> tuple:
-        """The state of ``r``, a point in ``encode.config_digits``'s form, no
-        gcd: 1/n_q = u/(f*ns**e) and f divides c, so x = (q + X/ns**k_x)/n_q
-        is (q*ns**k_x + X)*u*(c/f)/(c*ns**(k_x + e))."""
-        q, x, kx, y, ky = r
-        ns, pw = self.ns, self.powers
-        n = (q * _powers(pw, ns, kx)[kx] + x) * (self.c[0] // self.f * self.u)
-        return _affine(n, kx + self.e, 0, 0, 0, ns, pw) + (y * self.c[1], ky)
-
-    def key(self, s: tuple) -> tuple:
-        """The state's point in integers free of c: per axis N and c over
-        their gcd, and k."""
-        gx, gy = gcd(s[0], self.c[0]), gcd(s[2], self.c[1])
-        return s[0] // gx, self.c[0] // gx, s[1], s[2] // gy, self.c[1] // gy, s[3]
-
-
 def _machine_row(forms: list, ns: int, u: int) -> tuple:
     """The row of cell ``u`` = (q*ns + X)*ns + Z, from its transition's
     record at X: per axis (e, a0 + a1*X, t) without trailing zero digits."""
@@ -249,15 +180,28 @@ def _widened(table, rx: int, ry: int, u: int) -> tuple:
 
 
 class BranchTable(Sequence):
-    """The branch table nda and net share, a sequence like the tuple of its
-    entries: entry u = i*n_s + j, cell (i, j)'s ((lambda_x, a_x), (lambda_y,
-    a_y)), is read off the integer ``row(u)``, (e, alpha, j) per axis for
-    lambda = n_s**e and a = alpha/(c*n_s**j).  ``pairs`` maps each lambda
-    pair (num_x, den_x, num_y, den_y) to its first cell and largest a_x and
-    a_y; ``peak`` is max(a + lambda) over every cell and axis."""
+    """The branch table nda and net share, and its exact step on scaled integers.
+
+    A sequence like the tuple of its entries: entry u = i*n_s + j, cell
+    (i, j)'s ((lambda_x, a_x), (lambda_y, a_y)), is read off the integer row
+    ``rows[u]``, derived by ``row(u)`` on its first read: (e, alpha, j) per
+    axis for lambda = n_s**e and a = alpha/(c*n_s**j).  ``pairs`` maps each
+    lambda pair (num_x, den_x, num_y, den_y) to its first cell and largest
+    a_x and a_y; ``peak`` is max(a + lambda) over every cell and axis.
+
+    A state (N_x, k_x, N_y, k_y) is the point (N_x/(c_x*n_s**k_x),
+    N_y/(c_y*n_s**k_y)); c_x and c_y are the parts of n_q and of the offsets'
+    denominators (and of a start point's: ``fit``) free of n_s's primes.  k
+    is minimal, so equal points are equal states.  A row maps N/(c*n_s**k)
+    to (N*n_s**(K-k+e) + alpha*n_s**(K-j))/(c*n_s**K) with K = max(k - e, j):
+    per axis a product with a cached power and a sum, then the trailing zero
+    digits stripped to keep k minimal: ``encode._affine``, the one step rule.
+    """
 
     def __init__(self, n_q: int, n_s: int, c: tuple[int, int], row, pairs: dict, peak: Fraction):
         self.n_q, self.n_s, self.c, self.row, self.pairs, self.peak = n_q, n_s, c, row, pairs, peak
+        self.rows, self.shape, self.powers = _Rows(row), (n_q * n_s, n_s), [1]
+        self.u, self.e = _scaled(1, n_q, c[0], n_s)  # 1/n_q = u/(c_x*n_s**e)
 
     @classmethod
     def of_machine(cls, m: TuringMachine) -> BranchTable:
@@ -288,12 +232,20 @@ class BranchTable(Sequence):
     @classmethod
     def of_params(cls, n_q: int, n_s: int, params) -> BranchTable:
         """The table of explicit entries, ``params[i*n_s + j]`` of cell
-        (i, j), in one pass over them."""
+        (i, j), in one pass over them.  Raises ValueError at the first cell
+        whose lambda pair is not the construction's (1/n_s, n_s), (n_s,
+        1/n_s) or (1, 1): a right move, a left move or a halt."""
         params, c, tops = tuple(params), (_free(n_q, n_s), 1), {}
+        construction = {(1, n_s, n_s, 1), (n_s, 1, 1, n_s), (1, 1, 1, 1)}
         for u, ((lx, ax), (ly, ay)) in enumerate(params):
             c = lcm(c[0], _free(ax.denominator, n_s)), lcm(c[1], _free(ay.denominator, n_s))
-            top = tops.setdefault((lx.numerator, lx.denominator, ly.numerator, ly.denominator),
-                                  [u, ax, ay])
+            pair = lx.numerator, lx.denominator, ly.numerator, ly.denominator
+            if pair not in construction:
+                text = f"cell {divmod(u, n_s)}: lambda pair ({lx}, {ly})"
+                raise ValueError(f"{text} breaks 0 < lambda and a + lambda <= h/2"
+                                 if min(lx, ly) <= 0
+                                 else f"{text} is not (1/n_s, n_s), (n_s, 1/n_s) or (1, 1)")
+            top = tops.setdefault(pair, [u, ax, ay])
             top[1:] = max(top[1], ax), max(top[2], ay)
         exponent = {Fraction(n_s) ** e: e for e in (-1, 0, 1)}
 
@@ -306,19 +258,54 @@ class BranchTable(Sequence):
                                                for (nx, dx, ny, dy), (_, ax, ay) in tops.items()))
 
     @cached_property
-    def kernel(self) -> Kernel:
-        """The table on scaled integers; every lambda must be 1/n_s, 1 or n_s."""
-        ns = self.n_s
-        for pair, (u, *_) in self.pairs.items():
-            for lam in pair[:2], pair[2:]:
-                if lam not in ((1, ns), (1, 1), (ns, 1)):
-                    raise ValueError(f"cell {divmod(u, ns)}: lambda {Fraction(*lam)} "
-                                     "is not 1/n_s, 1 or n_s")
-        return Kernel(self.n_q, ns, self.c, self.row)
-
-    @cached_property
     def lambdas(self) -> dict:
         return {e: Fraction(self.n_s) ** e for e in (-1, 0, 1)}
+
+    def ratios(self, s: tuple) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The state's coordinates as integer ratios (N, c*ns**k)."""
+        pw = _powers(self.powers, self.n_s, s[1] if s[1] > s[3] else s[3])
+        return (s[0], self.c[0] * pw[s[1]]), (s[2], self.c[1] * pw[s[3]])
+
+    def step(self, s: tuple, net: bool = False) -> tuple[tuple[int, int], tuple]:
+        """(cell, next state) of ``s``.  The network's cells (``net``) are
+        closed at 1, and its ramp clips a coordinate at 0."""
+        (nx, dx), (ny, dy) = self.ratios(s)
+        i, j = cell = _cell(nx, dx, ny, dy, self.shape, net)
+        ex, ax, jx, ey, ay, jy = self.rows[i * self.n_s + j]
+        x = _affine(s[0], s[1], ex, ax, jx, self.n_s, self.powers)
+        y = _affine(s[2], s[3], ey, ay, jy, self.n_s, self.powers)
+        if net:  # the ramp: a negative coordinate is 0
+            x, y = (x if x[0] >= 0 else (0, 0)), (y if y[0] >= 0 else (0, 0))
+        return cell, x + y
+
+    def fit(self, pt: Point) -> tuple[BranchTable, tuple]:
+        """This table and ``pt``'s state in it, or the same of a table whose
+        c is widened by the primes of ``pt``'s denominators it lacks, its
+        rows this one's rescaled, its ``pairs`` and ``peak`` this one's."""
+        xy = [_scaled(v.numerator, v.denominator, c, self.n_s) for v, c in zip(pt, self.c)]
+        if None not in xy:
+            return self, xy[0] + xy[1]
+        c = tuple(lcm(c, _free(v.denominator, self.n_s)) for c, v in zip(self.c, pt))
+        row = partial(_widened, self.rows, c[0] // self.c[0], c[1] // self.c[1])
+        return BranchTable(self.n_q, self.n_s, c, row, self.pairs, self.peak).fit(pt)
+
+    def point(self, s: tuple) -> Point:
+        return Point(*(Fraction(n, d) for n, d in self.ratios(s)))
+
+    def of_digits(self, r: tuple) -> tuple:
+        """The state of ``r``, a point in ``encode.config_digits``'s form, no
+        gcd: 1/n_q = u/(c_x*ns**e), so x = (q + X/ns**k_x)/n_q is
+        (q*ns**k_x + X)*u/(c_x*ns**(k_x + e))."""
+        q, x, kx, y, ky = r
+        ns, pw = self.n_s, self.powers
+        n = (q * _powers(pw, ns, kx)[kx] + x) * self.u
+        return _affine(n, kx + self.e, 0, 0, 0, ns, pw) + (y * self.c[1], ky)
+
+    def key(self, s: tuple) -> tuple:
+        """The state's point in integers free of c: per axis N and c over
+        their gcd, and k."""
+        gx, gy = gcd(s[0], self.c[0]), gcd(s[2], self.c[1])
+        return s[0] // gx, self.c[0] // gx, s[1], s[2] // gy, self.c[1] // gy, s[3]
 
     def __len__(self) -> int:
         return self.n_q * self.n_s * self.n_s
@@ -326,7 +313,7 @@ class BranchTable(Sequence):
     def __getitem__(self, u):
         if isinstance(u, slice):
             return tuple(map(self.__getitem__, range(len(self))[u]))
-        ex, ax, jx, ey, ay, jy = self.row(range(len(self))[u])
+        ex, ax, jx, ey, ay, jy = self.rows[range(len(self))[u]]
         (cx, cy), ns = self.c, self.n_s
         return ((self.lambdas[ex], Fraction(ax, cx * ns ** jx)),
                 (self.lambdas[ey], Fraction(ay, cy * ns ** jy)))
@@ -372,15 +359,12 @@ class Nda:
 
     @cached_property
     def table(self) -> BranchTable:
-        """An explicit dict's table, made on first use; ``build_nda`` sets a machine's."""
+        """An explicit dict's table, made on first use (``BranchTable.of_params``
+        checks its lambda pairs); ``build_nda`` sets a machine's."""
         m, p = self.machine, self.partition
         branches = map(self.branches.__getitem__, product(range(p.n_x_cells), range(p.n_y_cells)))
         return BranchTable.of_params(m.n_states, m.n_symbols, (
             ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y)) for b in branches))
-
-    @property
-    def kernel(self) -> Kernel:
-        return self.table.kernel
 
 
 def build_nda(m: TuringMachine) -> Nda:
@@ -393,23 +377,23 @@ def build_nda(m: TuringMachine) -> Nda:
 
 def nda_step(nda: Nda, pt: Point) -> Point:
     """Apply the branch selected by the switching rule, exactly."""
-    kernel, s = nda.kernel.fit(pt)
-    return kernel.point(kernel.step(s)[1])
+    table, s = nda.table.fit(pt)
+    return table.point(table.step(s)[1])
 
 
-def nda_successor(nda: Nda, s: tuple, kernel: Kernel | None = None) -> tuple | None:
-    """The state of ``kernel`` (the nda's own by default) after ``s``, or
+def nda_successor(nda: Nda, s: tuple, table: BranchTable | None = None) -> tuple | None:
+    """The state of ``table`` (the nda's own by default) after ``s``, or
     None in a halt cell: one whose window's state, i // n_s, halts."""
-    (i, _), nxt = (kernel or nda.kernel).step(s)
+    (i, _), nxt = (nda.table if table is None else table).step(s)
     m = nda.machine
     return None if m.states[i // m.n_symbols] in m.halt_states else nxt
 
 
 def run_nda(nda: Nda, pt0: Point, max_steps: int) -> Trace[Point]:
     """Iterate the flow; stops when the current cell belongs to a halt state."""
-    kernel, s0 = nda.kernel.fit(pt0)
-    run = Run(partial(nda_successor, nda, kernel=kernel), s0, max_steps)
-    return Trace(tuple(map(kernel.point, run)), run.halted)
+    table, s0 = nda.table.fit(pt0)
+    run = Run(partial(nda_successor, nda, table=table), s0, max_steps)
+    return Trace(tuple(map(table.point, run)), run.halted)
 
 
 def nda_to_json(nda: Nda) -> dict:

@@ -14,10 +14,10 @@ one network iteration per machine step:
 Every weight is an exact rational fixed by the grid, h and each cell's
 (lambda, a).  A step is the sweep over every in-edge, computed only where a
 unit can be nonzero: the BSL staircase corner from the grid, the LTL units
-that can fire, the MCL.  Exact mode runs it on scaled integers
-(``nda.Kernel``), where the bounds 0 < lambda and a + lambda <= h/2,
-enforced by the constructor, leave the corner's pair; float64, only there
-to show how expansion destroys the encoding, keeps the sweep's rounding.
+that can fire, the MCL.  Exact mode runs it on its branch table's scaled
+integers (``nda.BranchTable``), where the bounds 0 < lambda and a + lambda
+<= h/2, enforced by the constructor, leave the corner's pair; float64, only
+there to show how expansion destroys the encoding, keeps the sweep's rounding.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import cached_property, partial
 
 from .encode import Point, parse_rat, rat_str
 from .machine import Run, Trace, _Rows
-from .nda import BranchTable, Kernel, Nda, grid_bounds
+from .nda import BranchTable, Nda, grid_bounds
 
 HALT_ATOL = 1e-9  # float-mode fixed-point tolerance per coordinate
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -107,7 +107,8 @@ class Network:
 
         Off its staircase corner an LTL unit receives at most h/2 from the
         BSL, so over [0, 1]^2 its input is at most lambda + a - h/2 <= 0.
-        The table's lambda pairs and its peak max(a + lambda) are checked.
+        The table's peak max(a + lambda) is checked; ``BranchTable.of_params``
+        checks explicit entries' lambda pairs, a machine's are the construction's.
         """
         if not self.h > 0:
             raise NetworkFormatError("h must be positive")
@@ -115,25 +116,17 @@ class Network:
         if len(table) != n_q * ns * ns:
             raise NetworkFormatError("branch_params needs one entry per cell")
         if not isinstance(table, BranchTable):  # explicit entries: one pass
-            table = BranchTable.of_params(n_q, ns, table)
+            try:
+                table = BranchTable.of_params(n_q, ns, table)
+            except ValueError as exc:  # a lambda pair off the construction
+                raise NetworkFormatError(str(exc)) from exc
             object.__setattr__(self, "branch_params", table)
         if (table.n_q, table.n_s) != (n_q, ns):
             raise NetworkFormatError(
                 f"a {table.n_q} x {table.n_s} branch table for n_q={n_q}, n_s={ns}")
-        for (nx, dx, ny, dy), (u, *_) in table.pairs.items():
-            if (nx, dx, ny, dy) not in {(1, ns, ns, 1), (ns, 1, 1, ns), (1, 1, 1, 1)}:  # R, L, halt
-                pair = f"cell {divmod(u, ns)}: lambda pair ({Fraction(nx, dx)}, {Fraction(ny, dy)})"
-                raise NetworkFormatError(
-                    f"{pair} breaks 0 < lambda and a + lambda <= h/2 = {half}" if min(nx, ny) <= 0
-                    else f"{pair} is not (1/n_s, n_s), (n_s, 1/n_s) or (1, 1)")
         if table.peak > half:
             raise NetworkFormatError(f"h/2 = {half} is below the machine's max(a + lambda), "
                                      f"{table.peak}: 0 < lambda and a + lambda <= h/2 fails")
-
-    @property
-    def kernel(self) -> Kernel:
-        """The table's: a machine's network shares its nda's."""
-        return self.branch_params.kernel
 
     @cached_property
     def units(self) -> tuple[Unit, ...]:
@@ -263,16 +256,17 @@ class NetState:
     A state holds its MCL, the BSL staircase corner (i*, j*) of the sweep
     that produced it (the last MCL's cell; None before the first sweep) and,
     in float64, its fired LTL units as (unit id, output).  An exact state's
-    MCL is a state of an ``nda.Kernel`` (``scaled``), read as Fractions, and
-    only its corner's pair fires.  ``values``, the dense sweep's vector, is
-    built on read.  Equality is the MCL's (exact) or the stored fields'.
+    MCL is a state (``scaled``) of ``kernel``, the network's branch table or
+    one ``fit`` widened for an off-lattice start, read as Fractions, and only
+    its corner's pair fires.  ``values``, the dense sweep's vector, is built
+    on read.  Equality is the MCL's (exact) or the stored fields'.
     """
 
     mode: str  # "exact" | "float64"
     _mcl: tuple | None
     corner: tuple[int, int] | None = None
     scaled: tuple | None = None
-    kernel: Kernel | None = field(default=None, repr=False)
+    kernel: BranchTable | None = field(default=None, repr=False)
     _net: Network | None = field(default=None, repr=False)
     fired: tuple = ()
     _values: tuple | None = field(default=None, repr=False)
@@ -328,8 +322,8 @@ def initial_state(net: Network, pt: Point, mode: str = "exact") -> NetState:
     if mode not in ("exact", "float64"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":
-        kernel, s = net.kernel.fit(pt)
-        return NetState(mode, None, scaled=s, kernel=kernel, _net=net)
+        table, s = net.branch_params.fit(pt)
+        return NetState(mode, None, scaled=s, kernel=table, _net=net)
     return NetState(mode, (float(pt.x), float(pt.y)), _net=net)
 
 
@@ -377,7 +371,7 @@ def _float_step(net: Network, state: NetState) -> NetState:
 
 
 def _sparse_step(net: Network, state: NetState) -> NetState:
-    """The exact step on the kernel: the corner is the MCL's grid cell,
+    """The exact step on the state's table: the corner is the MCL's grid cell,
     closed at x = 1 and y = 1, and only its LTL pair can fire.  Equal to the
     dense sweep on every MCL in [0, 1]^2; outside, where that is not
     proven, raises CellRangeError."""
@@ -439,16 +433,18 @@ def net_trace_rows(net: Network, trace: Trace[NetState]) -> list[dict]:
     return rows
 
 
+def _unit_doc(u: Unit) -> dict:
+    """A unit's entry in the document: the only form ``import_network`` accepts."""
+    params: dict = {"activation": ACTIVATION[u.kind]}
+    if u.index is not None:
+        params["index"] = u.index
+    if u.cell is not None:
+        params["cell"] = [u.cell[0], u.cell[1]]
+    return {"id": u.id, "kind": u.kind, "params": params}
+
+
 def export_network(net: Network) -> dict:
     """Lossless JSON document (meta, units, sparse weight list)."""
-    units = []
-    for u in net.units:
-        params: dict = {"activation": ACTIVATION[u.kind]}
-        if u.index is not None:
-            params["index"] = u.index
-        if u.cell is not None:
-            params["cell"] = [u.cell[0], u.cell[1]]
-        units.append({"id": u.id, "kind": u.kind, "params": params})
     weights = [
         {"from": src, "to": dst, "value": rat_str(w)}
         for (src, dst), w in sorted(net.weights.items())
@@ -463,7 +459,7 @@ def export_network(net: Network) -> dict:
             "cell_order": "x cells by (state index, left-symbol index), "
                           "y cells by head-symbol index, 0-based",
         },
-        "units": units,
+        "units": [_unit_doc(u) for u in net.units],
         "weights": weights,
     }
 
@@ -475,12 +471,13 @@ _MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
 def import_network(doc: dict) -> Network:
     """Parse a serialized network and require the wiring its parameters give.
 
-    After the unit count and the canonical unit layout, each cell's
-    (lambda, a) is read off the document's MCL -> LTL and bias -> LTL edges,
-    and the ``Network`` of those and the document's h is constructed, which
-    bounds them.  The document must hold exactly that network's weight dict:
-    the first differing, missing or extra edge is reported.  Any malformed
-    document raises NetworkFormatError.
+    After the unit count, each unit entry, sorted by id, must equal its
+    canonical unit's ``_unit_doc``.  Then each cell's (lambda, a) is read
+    off the document's MCL -> LTL and bias -> LTL edges, and the ``Network``
+    of those and the document's h is constructed, which bounds them.  The
+    document must hold exactly that network's weight dict: the first
+    differing, missing or extra edge is reported.  Any malformed document
+    raises NetworkFormatError.
     """
     try:
         meta = doc["meta"]
@@ -511,25 +508,11 @@ def import_network(doc: dict) -> Network:
         unit_docs = sorted(unit_docs, key=lambda u: u.get("id", -1))
     except _MALFORMED as exc:
         raise NetworkFormatError("malformed unit list") from exc
-    for entry, want in zip(unit_docs, units):
-        try:
-            params = entry.get("params", {})
-            got = Unit(
-                id=int(entry["id"]),
-                kind=entry["kind"],
-                index=params.get("index"),
-                cell=tuple(params["cell"]) if "cell" in params else None,
-            )
-            activation = params.get("activation", ACTIVATION[want.kind])
-        except _MALFORMED as exc:
-            raise NetworkFormatError(f"malformed unit entry: {entry}") from exc
-        if got != want:
+    for entry, want in zip(unit_docs, map(_unit_doc, units)):
+        if entry != want:
             raise NetworkFormatError(
-                f"unit {got.id} deviates from the canonical layout: "
-                f"got {got}, expected {want}"
-            )
-        if activation != ACTIVATION[want.kind]:
-            raise NetworkFormatError(f"unit {got.id}: wrong activation for {got.kind}")
+                f"unit entry {want['id']} (by id) deviates from the canonical layout: "
+                f"got {entry}, expected {want}")
 
     weights: dict[tuple[int, int], Fraction] = {}
     for entry in weight_docs:

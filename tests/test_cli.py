@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import importlib
@@ -496,16 +497,16 @@ def test_a_passing_compare_builds_a_constant_number_of_fractions(flip, monkeypat
 
 
 def test_compare_steps_nda_and_net_on_one_kernel(flip, monkeypatch):
-    # a machine's network shares its nda's kernel, so tm's state in it is
-    # made once per step; a network built on its own keeps its own kernel
+    # a machine's network shares its nda's table, so tm's state in it is
+    # made once per step; a network built on its own keeps its own table
     calls = []
-    real = nda.Kernel.of_digits
-    monkeypatch.setattr(nda.Kernel, "of_digits", lambda k, r: calls.append(k) or real(k, r))
+    real = nda.BranchTable.of_digits
+    monkeypatch.setattr(nda.BranchTable, "of_digits", lambda k, r: calls.append(k) or real(k, r))
     auto = build_nda(flip)
-    assert network.build_network(auto).kernel is auto.kernel
+    assert network.build_network(auto).branch_params is auto.table
     result = compare_levels(flip, ("0", "1") * 20, 100)
     assert result.ok and len(calls) == result.steps + 1 == 42
-    assert _corrupt_net(flip)["net"].kernel is not auto.kernel
+    assert _corrupt_net(flip)["net"].branch_params is not auto.table
 
 
 def test_compare_names_the_net_branch_of_a_machine_network(flip, monkeypatch):
@@ -693,16 +694,29 @@ def test_first_divergence_of_unequal_lengths_is_the_shared_length():
 
 
 def test_span_tracer_names_resolve():
-    # bench/spans.py wraps tm2net functions by name; a rename must not reach
-    # the benchmark unnoticed
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    # bench/spans.py wraps tm2net functions by name, and every bench script
+    # reads <module>.<name> off the modules it imports from tm2net; a rename
+    # or deletion must not reach the benchmark unnoticed
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location("bench_spans", bench / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     for module, names in spans.TRACED.items():
         source = importlib.import_module(f"tm2net.{module}")
         for name in names:
             assert callable(getattr(source, name, None)), f"tm2net.{module}.{name}"
+    read = set()
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "tm2net"
+                   for alias in node.names}
+        read |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules}
+    assert len(read) >= 27  # the scan sees the bench's reads
+    for module, name in sorted(read):
+        assert hasattr(importlib.import_module(f"tm2net.{module}"), name), f"tm2net.{module}.{name}"
 
 
 def _long_word():

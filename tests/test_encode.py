@@ -227,7 +227,7 @@ def test_successor_digits_keep_the_encoding_of_every_configuration(shape, seed, 
     # power of n_s; 3x2 and 5x3 share none
     rng = random.Random(seed)
     m = random_machine(rng, shape=shape)
-    kernel, pw = build_nda(m).kernel, [1]
+    kernel, pw = build_nda(m).table, [1]
     wide = kernel.fit(Point(Fraction(1, 7), Fraction(1, 7)))[0]  # c = (7*c_x, 7)
 
     def assert_encodes(r, c):

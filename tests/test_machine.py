@@ -239,7 +239,7 @@ def test_streamed_runs_yield_the_states_of_run_star(seed, max_steps):
         # tm and gs stream tapes, nda kernel states: compare them through the
         # level's configurations and the kernel's points
         point = {"tm": to_config, "gs": to_config,
-                 "nda": build_nda(m).kernel.point}.get(level, lambda s: s)
+                 "nda": build_nda(m).table.point}.get(level, lambda s: s)
         assert s0 == point(start(c0))
         assert tuple(map(point, run)) == trace.states
         assert (run.steps, point(run.final), run.halted) == (trace.steps, trace.final, trace.halted)

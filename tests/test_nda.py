@@ -23,7 +23,7 @@ from tm2net.nda import (
     orbit_rows,
     run_nda,
 )
-from tm2net.network import build_network
+from tm2net.network import NetworkFormatError, build_network
 
 from util import eager_nda, random_config, random_input, random_machine
 
@@ -252,12 +252,12 @@ def test_kernel_follows_bb5_from_step_20000():
             continue
         pt = encode_config(m, c)
         if s is None:
-            s, state = auto.kernel.fit(pt)[1], initial_state(net, pt)
+            s, state = auto.table.fit(pt)[1], initial_state(net, pt)
             assert pt.y.denominator.bit_length() > 200  # a wide tape
         else:
             s, state = nda.nda_successor(auto, s), net_step(net, state)
-        assert s == auto.kernel.fit(pt)[1] and auto.kernel.point(s) == pt
-        assert state.scaled == net.kernel.fit(pt)[1] and state.mcl == pt
+        assert s == auto.table.fit(pt)[1] and auto.table.point(s) == pt
+        assert state.scaled == net.branch_params.fit(pt)[1] and state.mcl == pt
     assert run.steps == 22_000 and not run.halted
 
 
@@ -266,7 +266,7 @@ def test_kernel_states_are_canonical_whatever_c():
     rng = random.Random(47)
     for _ in range(20):
         m = random_machine(rng)
-        kernel = build_nda(m).kernel
+        kernel = build_nda(m).table
         wide, _ = kernel.fit(Point(Fraction(1, 7), Fraction(3, 11)))
         assert wide.c == (kernel.c[0] * 7, 11)
         pt = encode_config(m, random_config(rng, m))
@@ -286,16 +286,17 @@ def test_the_table_derived_on_read_equals_the_table_built_up_front(rng):
     auto, eager = build_nda(m), eager_nda(m)
     assert list(auto.branches.items()) == list(eager.branches.items())
     assert auto.branches == eager.branches and len(auto.branches) == len(eager.branches)
-    full = eager.kernel  # BranchTable.of_params of the Fraction table
+    full = eager.table  # BranchTable.of_params of the Fraction table
     cells = list(range(len(eager.branches)))
     rng.shuffle(cells)  # a row does not depend on the rows derived before it
-    assert auto.kernel.c == full.c
-    assert {u: auto.kernel.table[u] for u in cells} == {u: full.table[u] for u in sorted(cells)}
+    assert auto.table.c == full.c
+    assert {u: auto.table.rows[u] for u in cells} == {u: full.rows[u] for u in sorted(cells)}
     net = build_network(auto)
     assert net.h == 2 * max(a + lam for b in eager.branches.values()
                             for lam, a in ((b.lambda_x, b.a_x), (b.lambda_y, b.a_y)))
     built = build_network(eager)
-    assert net == built and net.kernel is auto.kernel and built.kernel is not auto.kernel
+    assert (net == built and net.branch_params is auto.table
+            and built.branch_params is not auto.table)
 
 
 def test_h_reaches_the_left_symbols_far_end():
@@ -340,5 +341,22 @@ def test_an_explicit_table_with_a_lambda_off_the_construction_fails_on_its_first
     branches = dict(auto.branches)
     branches[(1, 2)] = dataclasses.replace(branches[(1, 2)], lambda_x=Fraction(2))
     bad = Nda(flip, auto.partition, branches)
-    with pytest.raises(ValueError, match=r"cell \(1, 2\): lambda 2 is not 1/n_s, 1 or n_s"):
+    with pytest.raises(ValueError, match=r"cell \(1, 2\): lambda pair \(2, 3\) is not"):
         nda_step(bad, Point(Fraction(0), Fraction(0)))
+
+
+def test_one_lambda_rule_for_an_explicit_nda_and_its_network(flip):
+    # (1, 3) puts two lambdas of the construction in a pair it never makes;
+    # nda and net share the table, so both reject it, with one message
+    auto = build_nda(flip)
+    branches = dict(auto.branches)
+    branches[(1, 2)] = dataclasses.replace(branches[(1, 2)], lambda_x=Fraction(1))
+    message = r"cell \(1, 2\): lambda pair \(1, 3\) is not"
+    with pytest.raises(ValueError, match=message):
+        nda_step(Nda(flip, auto.partition, branches), Point(Fraction(0), Fraction(0)))
+    net = build_network(auto)
+    params, u = list(net.branch_params), 1 * flip.n_symbols + 2
+    (_, a_x), y = params[u]
+    params[u] = ((Fraction(1), a_x), y)
+    with pytest.raises(NetworkFormatError, match=message):
+        dataclasses.replace(net, branch_params=tuple(params))

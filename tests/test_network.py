@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tm2net import network
+from tm2net import nda, network
 from tm2net.encode import Point, encode_config, rat_str
 from tm2net.machine import initial_config, parse_machine, run_tm
 from tm2net.nda import CellRangeError, Nda, build_nda, cell_of_point
@@ -528,6 +528,18 @@ def test_import_rejects_branch_parameters_outside_the_architecture(flip_net, edi
         import_network(doc)
 
 
+@pytest.mark.parametrize("edit", ["no activation", "extra key"])
+def test_import_accepts_only_the_unit_entries_export_writes(flip_net, edit):
+    doc = export_network(flip_net)
+    entry = doc["units"][5]
+    if edit == "no activation":
+        del entry["params"]["activation"]
+    else:
+        entry["note"] = "bsl"
+    with pytest.raises(NetworkFormatError, match=r"unit entry 5 \(by id\) deviates"):
+        import_network(doc)
+
+
 def test_import_checks_unit_count_before_building_the_layout(monkeypatch):
     def no_layout(n_q, n_s):
         raise AssertionError(f"built the {n_q} x {n_s} layout")
@@ -604,7 +616,7 @@ def test_kernel_steps_equal_the_fraction_oracle_and_the_dense_sweep(rng, x, y, f
     net = build_network(auto)  # its h covers the corrupted offset
     starts = [encode_config(m, initial_config(m, random_input(rng, m))), Point(x, y)]
     for pt in starts:
-        for kernel, closed in ((auto.kernel, False), (net.kernel, True)):
+        for kernel, closed in ((auto.table, False), (net.branch_params, True)):
             kernel, s = kernel.fit(pt)
             want = pt
             for _ in range(10):
@@ -709,6 +721,19 @@ def test_a_machine_table_indexes_like_its_tuple(flip_net):
             params[u]
     imported = import_network(export_network(flip_net)).branch_params
     assert (imported[-1], imported[0:2]) == (params[-1], params[0:2])
+
+
+def test_an_imported_table_derives_each_row_once(monkeypatch):
+    # the wiring, equality and entry reads share the table's one row cache
+    net = build_network(build_nda(parse_machine(
+        (ROOT / "bench" / "machines" / "counter_wide.tm").read_text())))
+    doc, calls, real = export_network(net), [], nda._scaled
+    monkeypatch.setattr(nda, "_scaled", lambda *a: calls.append(a) or real(*a))
+    table = import_network(doc).branch_params
+    # a row per cell, _scaled per axis, and the table's 1/n_q
+    assert tuple(table) == tuple(net.branch_params) and len(calls) == 2 * len(table) + 1
+    calls.clear()
+    assert tuple(table) == tuple(net.branch_params) and calls == []
 
 
 def test_a_state_of_another_network_steps_as_that_networks_own(flip, flip_net):
